@@ -24,6 +24,15 @@ fn bench_quantization(c: &mut Criterion) {
         });
     });
 
+    // Quantizer calibration scan: AlexNet fc6 at the plans' 1M-weight
+    // sample cap (`RANGE_CAP` in dnnlife-accel).
+    let fc6 = LayerWeightGen::new(&NetworkSpec::alexnet(), 5, 42);
+    group.throughput(Throughput::Elements(1_000_000));
+    group.bench_function("range_1m", |b| {
+        b.iter(|| black_box(fc6.range(black_box(1_000_000))));
+    });
+    group.throughput(Throughput::Elements(10_000));
+
     for format in NumberFormat::all() {
         let quantizer = Quantizer::calibrate(format, &range);
         group.bench_function(format!("encode_10k_{format:?}"), |b| {

@@ -487,6 +487,14 @@ fn sweep_journal_reconstructs_a_complete_span_forest() {
     assert!(count("exact_shard") > 0, "labels: {labels:?}");
     assert!(count("exact_merge") > 0, "labels: {labels:?}");
     assert!(count("analytic_shard") > 0, "labels: {labels:?}");
+    // Plan build (quantizer calibration included) is its own span,
+    // once under every scenario.
+    assert_eq!(count("plan_build"), grid.len(), "labels: {labels:?}");
+    for span in forest.spans.iter().filter(|s| s.label == "plan_build") {
+        let parent = span.parent.expect("plan_build is nested");
+        let parent = forest.spans.iter().find(|s| s.id == parent);
+        assert_eq!(parent.map(|s| s.label.as_str()), Some("scenario"));
+    }
 
     // The flame table and critical path render from the same forest.
     let text = forest.render_text();

@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use dnnlife_core::experiment::NetworkKind;
 use dnnlife_core::FaultInjectionSpec;
@@ -46,30 +46,60 @@ pub struct TrainedNetwork {
     layer_weights: Vec<Vec<f32>>,
 }
 
+/// Memo key: `(train_seed, train_steps)`.
+type TrainingKey = (u64, u32);
+
+/// One key's memo entry. Its mutex is held for the whole training run,
+/// so concurrent callers of one key wait for the first trainer instead
+/// of training alongside it.
+#[derive(Default)]
+struct TrainingEntry {
+    /// The finished snapshot; `None` until a run completes (a cancelled
+    /// run leaves it `None`, so the next caller trains).
+    trained: Option<TrainedNetwork>,
+    /// Training runs started for this key.
+    runs: u32,
+}
+
 /// Per-process memo of finished training runs, keyed by
 /// `(train_seed, train_steps)` — the seed carries a per-network tag, so
 /// distinct networks never collide. Every policy/format cell of one
 /// campaign shares the recipe by construction (the seed ignores the
 /// scenario's policy axes), so a 4-cell campaign trains once instead
-/// of four times. Purely an execution cache: the stored snapshot is
-/// the deterministic function of the key, so results are unchanged.
-fn training_cache() -> &'static Mutex<HashMap<(u64, u32), TrainedNetwork>> {
-    static CACHE: OnceLock<Mutex<HashMap<(u64, u32), TrainedNetwork>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+/// of four times, even when its cells start concurrently. Purely an
+/// execution cache: the stored snapshot is the deterministic function
+/// of the key, so results are unchanged.
+fn training_entry(key: TrainingKey) -> Arc<Mutex<TrainingEntry>> {
+    static CACHE: OnceLock<Mutex<HashMap<TrainingKey, Arc<Mutex<TrainingEntry>>>>> =
+        OnceLock::new();
+    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
+    let mut cache = cache.lock().unwrap_or_else(PoisonError::into_inner);
+    Arc::clone(cache.entry(key).or_default())
 }
 
 impl TrainedNetwork {
     /// Runs the deterministic recipe for `spec` (serial, so the f32
     /// arithmetic is bit-reproducible), memoized per process on
-    /// `(train_seed, train_steps)`. Returns `None` iff `cancel` was
-    /// raised between SGD steps.
+    /// `(train_seed, train_steps)`: concurrent callers of one key wait
+    /// for a single run. Returns `None` iff `cancel` was raised between
+    /// SGD steps; a waiter behind a cancelled run trains itself.
     pub fn train(spec: &FaultInjectionSpec, cancel: Option<&AtomicBool>) -> Option<Self> {
-        let network = spec.scenario.network;
-        let seed = spec.train_seed();
-        let key = (seed, spec.train_steps);
-        if let Some(hit) = training_cache().lock().expect("training cache").get(&key) {
+        let entry = training_entry((spec.train_seed(), spec.train_steps));
+        // A panicked trainer leaves `trained` empty; the next caller
+        // simply trains again.
+        let mut entry = entry.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(hit) = &entry.trained {
             return Some(hit.clone());
         }
+        entry.runs += 1;
+        let trained = Self::train_uncached(spec, cancel)?;
+        entry.trained = Some(trained.clone());
+        Some(trained)
+    }
+
+    fn train_uncached(spec: &FaultInjectionSpec, cancel: Option<&AtomicBool>) -> Option<Self> {
+        let network = spec.scenario.network;
+        let seed = spec.train_seed();
         let net_spec = network.spec();
         let input_shape = net_spec.input_shape();
         let mut net = build_network(&net_spec, seed);
@@ -88,16 +118,11 @@ impl TrainedNetwork {
         let mut params = Vec::new();
         net.visit_params(&mut |p| params.push((p.name.to_string(), p.value.to_vec())));
         let layer_weights = extract_layer_weights(&mut net);
-        let trained = Self {
+        Some(Self {
             network,
             params,
             layer_weights,
-        };
-        training_cache()
-            .lock()
-            .expect("training cache")
-            .insert(key, trained.clone());
-        Some(trained)
+        })
     }
 
     /// The trained weight tables in layer order (biases excluded —
@@ -192,5 +217,45 @@ mod tests {
     fn pre_raised_cancel_aborts_training() {
         let flag = AtomicBool::new(true);
         assert!(TrainedNetwork::train(&spec(5), Some(&flag)).is_none());
+    }
+
+    /// Concurrent cells of one campaign share one training run: eight
+    /// threads released together on a fresh key start exactly one.
+    #[test]
+    fn concurrent_callers_of_one_key_train_once() {
+        // A data seed no other test uses keeps the key (and its run
+        // count) private to this test.
+        let mut s = spec(3);
+        s.data_seed = 0x5EED_0C0C;
+        let key = (s.train_seed(), s.train_steps);
+        let barrier = std::sync::Barrier::new(8);
+        let snapshots: Vec<TrainedNetwork> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        TrainedNetwork::train(&s, None).expect("uncancelled")
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(training_entry(key).lock().unwrap().runs, 1);
+        for t in &snapshots[1..] {
+            assert_eq!(t.layer_weights(), snapshots[0].layer_weights());
+        }
+    }
+
+    /// A cancelled run leaves no snapshot behind: the next caller of the
+    /// key trains instead of inheriting the abort.
+    #[test]
+    fn cancelled_run_leaves_the_key_trainable() {
+        let mut s = spec(2);
+        s.data_seed = 0xCA5C_E11E;
+        let key = (s.train_seed(), s.train_steps);
+        let flag = AtomicBool::new(true);
+        assert!(TrainedNetwork::train(&s, Some(&flag)).is_none());
+        assert!(TrainedNetwork::train(&s, None).is_some());
+        assert_eq!(training_entry(key).lock().unwrap().runs, 2);
     }
 }

@@ -137,10 +137,23 @@ impl LayerWeightGen {
     #[inline]
     pub fn weight(&self, index: u64) -> f32 {
         debug_assert!(index < self.count, "weight index out of range");
-        // Counter-based uniform: SplitMix64 of (layer_seed, index).
-        let bits = splitmix(self.layer_seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        // Map to (0, 1) — never exactly 0 or 1.
-        let u = ((bits >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
+        self.weight_at(self.uniform_bits(index))
+    }
+
+    /// The 53-bit counter-based uniform behind weight `index`:
+    /// SplitMix64 of `(layer_seed, index)`, top 53 bits.
+    #[inline]
+    fn uniform_bits(&self, index: u64) -> u64 {
+        splitmix(self.layer_seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> 11
+    }
+
+    /// The weight drawn from the 53-bit uniform `k`. Monotone
+    /// non-decreasing in `k` (see [`LayerWeightGen::range`]).
+    #[inline]
+    fn weight_at(&self, k: u64) -> f32 {
+        // Map to (0, 1]: exactly 1 only for the top `k`, whose
+        // `k + 0.5` rounds up to 2⁵³ (its weight sits at the tail clamp).
+        let u = (k as f64 + 0.5) / (1u64 << 53) as f64;
         // Two-sided exponential with asymmetric tails: each side carries
         // half of the probability mass, so the median is `location`.
         let x = if u < 0.5 {
@@ -161,18 +174,45 @@ impl LayerWeightGen {
     /// layer if smaller). The quantization calibration uses this;
     /// sub-sampling very large layers changes the range estimate by well
     /// under the quantization step (the distribution tails are clamped).
+    ///
+    /// The scan is integer-only: it keeps the smallest and largest
+    /// 53-bit uniform `k` among the first `n` indices and evaluates the
+    /// weight at just those two. This equals the min/max of the `n`
+    /// weights bit for bit, because the weight is a monotone
+    /// non-decreasing function of `k`:
+    ///
+    /// * `k as f64 + 0.5` and the division by 2⁵³ round monotonically
+    ///   (ties collapse to equal values, which is harmless).
+    /// * Distinct uniforms are ≥ 2⁻⁵³ apart, so the arguments `x` of
+    ///   `ln` (`2u` or `2(1 − u)`, both exact, in `[0, 1]`) are
+    ///   ≥ 2⁻⁵² apart. Their logarithms then differ by ≥ 2⁻⁵²/x, which
+    ///   is more than `e` ulps of `ln x` — far above `ln`'s sub-ulp
+    ///   error — so `ln` keeps their order (`ln 0 = −∞` is the least).
+    /// * `max(−TAIL_CLAMP)`, the positive scale, the offset and the
+    ///   `as f32` narrowing are each monotone under rounding; the
+    ///   `u ≥ 0.5` branch negates a non-positive logarithm, so every
+    ///   upper-branch weight is ≥ `location` ≥ every lower-branch one.
+    ///
+    /// Ties in `k` give equal weights, so whichever index attains the
+    /// extreme does not matter.
     pub fn range(&self, limit: u64) -> WeightRange {
         let n = self.count.min(limit.max(1));
-        let mut lo = f32::INFINITY;
-        let mut hi = f32::NEG_INFINITY;
+        if n == 0 {
+            return WeightRange {
+                min: f32::INFINITY,
+                max: f32::NEG_INFINITY,
+                sampled: 0,
+            };
+        }
+        let (mut lo, mut hi) = (u64::MAX, 0u64);
         for i in 0..n {
-            let w = self.weight(i);
-            lo = lo.min(w);
-            hi = hi.max(w);
+            let k = self.uniform_bits(i);
+            lo = lo.min(k);
+            hi = hi.max(k);
         }
         WeightRange {
-            min: lo,
-            max: hi,
+            min: self.weight_at(lo),
+            max: self.weight_at(hi),
             sampled: n,
         }
     }
@@ -215,6 +255,101 @@ fn splitmix(mut z: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::zoo::NetworkSpec;
+    use proptest::prelude::*;
+
+    /// The scalar calibration scan `range` replaced: min/max over the
+    /// evaluated weights themselves.
+    fn reference_range(gen: &LayerWeightGen, limit: u64) -> WeightRange {
+        let n = gen.count.min(limit.max(1));
+        let mut lo = f32::INFINITY;
+        let mut hi = f32::NEG_INFINITY;
+        for i in 0..n {
+            let w = gen.weight(i);
+            lo = lo.min(w);
+            hi = hi.max(w);
+        }
+        WeightRange {
+            min: lo,
+            max: hi,
+            sampled: n,
+        }
+    }
+
+    const LIMITS: [u64; 6] = [0, 1, 7, 50_000, 1_000_000, u64::MAX];
+
+    /// Checks `range` against the scalar reference, bit for bit, on
+    /// every layer of the zoo at every limit in [`LIMITS`]. Scans longer
+    /// than `scan_cap` weights are skipped (the reference evaluates a
+    /// logarithm per weight).
+    fn zoo_ranges_match_reference(seed: u64, scan_cap: u64) -> Result<(), String> {
+        let zoo = [
+            NetworkSpec::alexnet(),
+            NetworkSpec::vgg16(),
+            NetworkSpec::custom_mnist(),
+        ];
+        for spec in &zoo {
+            for li in 0..spec.layers().len() {
+                let gen = LayerWeightGen::new(spec, li, seed);
+                for limit in LIMITS {
+                    if gen.len().min(limit) > scan_cap {
+                        continue;
+                    }
+                    let (got, want) = (gen.range(limit), reference_range(&gen, limit));
+                    if got.min.to_bits() != want.min.to_bits()
+                        || got.max.to_bits() != want.max.to_bits()
+                        || got.sampled != want.sampled
+                    {
+                        return Err(format!(
+                            "{} layer {li} limit {limit}: {got:?} != reference {want:?}",
+                            spec.name()
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3))]
+
+        /// The integer pre-scan gives the scalar scan's range bit for
+        /// bit: AlexNet, VGG-16 and custom-MNIST (whose small layers
+        /// are scanned in full, unclamped), every limit up to 1M
+        /// weights per scan.
+        #[test]
+        fn range_is_bit_identical_to_scalar_scan(seed: u64) {
+            zoo_ranges_match_reference(seed, 1_000_000)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The premise of the integer pre-scan: the weight never
+        /// decreases as its uniform grows, including across the
+        /// `u = 0.5` branch and in the rounded top half.
+        #[test]
+        fn weight_is_monotone_in_its_uniform(
+            seed: u64,
+            layer in 0usize..16,
+            k in 0u64..(1u64 << 53) - 1,
+        ) {
+            let gen = LayerWeightGen::new(&NetworkSpec::vgg16(), layer, seed);
+            prop_assert!(gen.weight_at(k) <= gen.weight_at(k + 1), "k = {k}");
+            for edge in [0, (1u64 << 52) - 1, (1u64 << 52), (1u64 << 53) - 2] {
+                prop_assert!(gen.weight_at(edge) <= gen.weight_at(edge + 1), "edge {edge}");
+            }
+        }
+    }
+
+    /// Full-layer twin of the property above: every layer of the zoo
+    /// scanned in full (≈ 200M reference weights; release nightly).
+    #[test]
+    #[ignore]
+    fn range_is_bit_identical_to_scalar_scan_on_full_layers() {
+        zoo_ranges_match_reference(42, u64::MAX).unwrap();
+    }
 
     #[test]
     fn deterministic_random_access() {
