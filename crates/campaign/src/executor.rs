@@ -545,6 +545,12 @@ pub(crate) fn execute_shared_pool<T, R, RunF, DoneF>(
         }
         drop(tx);
         for (index, result) in rx {
+            // A result that raced a raised token (its item finished just
+            // as the flag went up) is dropped undelivered, like the
+            // partials of the items the flag did stop.
+            if aborted() {
+                break;
+            }
             if !on_complete(index, result) {
                 // Raise the local flag *and* drop the receiver: idle
                 // workers stop at their next claim, in-flight

@@ -5,7 +5,8 @@
 //! The executor opens one `campaign:{name}` root span per campaign,
 //! a `scenario` span per work item, and the backends nest their own
 //! work under it (`exact_shard` / `exact_merge` / `analytic_shard` for
-//! the simulators, `trial_decode` / `trial_score` for the injector).
+//! the simulators; `train` / `duty_sim` / `clean_score` per cell and
+//! `trial_decode` / `trial_score` per trial for the injector).
 //! Every event carries the span's id and its parent's id, so the whole
 //! forest reconstructs from the journal alone — including journals
 //! appended across `--resume` invocations, because span ids are seeded

@@ -505,8 +505,9 @@ fn sweep_journal_reconstructs_a_complete_span_forest() {
     assert!(paths[0].1.len() >= 2, "path descends into scenarios");
 }
 
-/// The injector nests per-trial decode and score spans under the
-/// executor's scenario spans.
+/// The injector nests its training, duty-simulation and clean-score
+/// spans, one each per cell, and its per-trial decode and score spans
+/// under the executor's scenario spans.
 #[test]
 fn injection_journal_carries_per_trial_spans() {
     let dir = util::scratch_dir("telemetry-inject-spans");
@@ -538,10 +539,22 @@ fn injection_journal_carries_per_trial_spans() {
     let count = |needle: &str| forest.spans.iter().filter(|s| s.label == needle).count();
     assert!(count("trial_decode") > 0);
     assert!(count("trial_score") > 0);
-    // Every trial span's parent is a scenario span.
+    let cells = count("scenario");
+    assert_eq!(cells, grid.len());
+    for stage in ["train", "duty_sim", "clean_score"] {
+        assert_eq!(count(stage), cells, "one `{stage}` span per cell");
+    }
+    // Every stage and trial span's parent is a scenario span.
+    let nested = [
+        "train",
+        "duty_sim",
+        "clean_score",
+        "trial_decode",
+        "trial_score",
+    ];
     for span in &forest.spans {
-        if span.label == "trial_decode" || span.label == "trial_score" {
-            let parent = span.parent.expect("trial spans are nested");
+        if nested.contains(&span.label.as_str()) {
+            let parent = span.parent.expect("inject spans are nested");
             let parent = forest
                 .spans
                 .iter()

@@ -47,8 +47,9 @@ pub struct InjectOptions<'a> {
     /// Observability sink for trial throughput and SECDED verdict
     /// roll-ups. Never semantic.
     pub telemetry: Option<&'a Telemetry>,
-    /// Trace-span parent for the per-trial `trial_decode` /
-    /// `trial_score` spans journaled through `telemetry`.
+    /// Trace-span parent for the `train`, `duty_sim` and `clean_score`
+    /// spans and the per-trial `trial_decode` / `trial_score` spans
+    /// journaled through `telemetry`.
     pub parent_span: SpanId,
 }
 
@@ -174,19 +175,27 @@ pub struct InjectionResult {
 pub fn run_injection(spec: &FaultInjectionSpec, opts: &InjectOptions) -> Option<InjectionResult> {
     assert!(spec.is_valid(), "run_injection: invalid spec {spec:?}");
     let cancelled = || opts.cancel.is_some_and(|flag| flag.load(Ordering::Relaxed));
+    let telemetry = opts.telemetry.unwrap_or_else(|| Telemetry::noop());
 
+    // `train` covers a memo hit, a wait on a concurrent trainer of the
+    // same key, or the training run itself.
+    let span = telemetry.span_start("train", opts.parent_span);
     let trained = exec::with_budget(resolve_threads(opts.threads), || {
         TrainedNetwork::train(spec, opts.cancel)
-    })?;
+    });
+    telemetry.span_end(span);
+    let trained = trained?;
     if cancelled() {
         return None;
     }
+    let span = telemetry.span_start("duty_sim", opts.parent_span);
     let (duties, quantizers) = WeightCellDuties::compute(
         &spec.scenario,
         trained.layer_weights(),
         opts.threads,
         opts.shards,
     );
+    telemetry.span_end(span);
     if cancelled() {
         return None;
     }
@@ -211,11 +220,13 @@ pub fn run_injection(spec: &FaultInjectionSpec, opts: &InjectOptions) -> Option<
     let (images, labels) =
         MnistSource::from_env(spec.eval_seed()).batch(HOLDOUT_OFFSET, spec.eval_images as usize);
     let images = adapt_batch(&images, network.input_shape());
+    let span = telemetry.span_start("clean_score", opts.parent_span);
     let clean_accuracy = exec::with_budget(resolve_threads(opts.threads), || {
         let mut net = trained.instantiate();
         apply_layer_weights(&mut net, &network, &clean_tables);
         accuracy(&mut net, &images, &labels)
     });
+    telemetry.span_end(span);
 
     let snm = CalibratedSnmModel::paper();
     let failure_model = ReadFailureModel {
@@ -245,7 +256,6 @@ pub fn run_injection(spec: &FaultInjectionSpec, opts: &InjectOptions) -> Option<
             // from the wear model — no per-read failure probabilities.
             MemoryTech::ReramEndurance => Vec::new(),
         };
-        let telemetry = opts.telemetry.unwrap_or_else(|| Telemetry::noop());
         let trials = telemetry.time(Counter::TrialWallNanos, || {
             run_trials(
                 spec,

@@ -8,8 +8,8 @@
 //! pure function of `(dataset_seed, i)`, so train/test splits are
 //! reproducible and no data is stored.
 //!
-//! This substitutes for MNIST in the paper's custom-network experiments
-//! (DESIGN.md substitution #2): the weight-memory aging results depend
+//! This substitutes for MNIST in the paper's custom-network
+//! experiments: the weight-memory aging results depend
 //! only on the trained weight values and inference count, not on the
 //! specific imagery.
 //!

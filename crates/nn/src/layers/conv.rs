@@ -1,4 +1,15 @@
 //! 2-D convolution with stride, zero padding and channel groups.
+//!
+//! The forward pass lowers each image to one GEMM per channel group on
+//! the shared register-tiled kernel (`crate::gemm`). Its im2col matrix
+//! is k-major (`patch × positions`): row `(ic_local, ky, kx)` holds that
+//! tap's input at every output position, so the kernel's vector lanes
+//! run across positions while each output still accumulates its patch
+//! in `(ic_local, ky, kx)` order, starting from the bias. Taps landing
+//! in the zero padding are gathered as literal zeros and multiplied like
+//! any other tap, so every output is bit-identical to the per-output dot
+//! product `bias + Σ w·x` over the patch — the order a direct
+//! convolution uses, up to exact `+ 0.0` terms at padded taps.
 
 use super::{Layer, ParamView};
 use crate::tensor::Tensor;
@@ -12,10 +23,11 @@ use crate::tensor::Tensor;
 /// network and a weight-memory trace see identical data.
 ///
 /// The forward pass is an im2col lowering: each image's input patches
-/// are gathered into a dense `positions × patch` matrix (padding as
-/// literal zeros) and multiplied against the `[out_channels, patch]`
-/// filter matrix, with the batch fanned out over the thread budget in
-/// [`crate::exec`]. Results are byte-identical at every budget.
+/// are gathered into a dense `patch × positions` matrix (padding as
+/// literal zeros) and multiplied by the `[out_channels, patch]` filter
+/// matrix on the shared GEMM kernel (see the module docs), with the
+/// batch fanned out over the thread budget in [`crate::exec`]. Results
+/// are byte-identical at every budget.
 ///
 /// # Example
 ///
@@ -123,10 +135,45 @@ impl Conv2d {
         (oh, ow)
     }
 
-    /// im2col gather table: for every `(output position, ky, kx)` tap,
-    /// the channel-local flat input offset `iy * w + ix`, or `-1` when
-    /// the tap lands in the zero padding. The table is shared by every
-    /// image and channel, so forward builds it once per batch.
+    /// Gathers the k-major im2col matrix of one image's channel group:
+    /// `col` row `(ic_local, ky, kx)` holds that tap's input at every
+    /// output position, with taps landing in the zero padding as literal
+    /// zeros. `planes` are the group's `h × w` input channels.
+    fn im2col(&self, planes: &[f32], h: usize, w: usize, oh: usize, ow: usize, col: &mut [f32]) {
+        let (k, stride, pad) = (self.kernel, self.stride, self.padding);
+        let mut rows = col.chunks_exact_mut(oh * ow);
+        for plane in planes.chunks_exact(h * w) {
+            for ky in 0..k {
+                for kx in 0..k {
+                    let row = rows.next().expect("one col row per tap");
+                    // Output columns whose tap lands inside the image:
+                    // `0 <= ox * stride + kx - pad < w`.
+                    let lo = pad.saturating_sub(kx).div_ceil(stride).min(ow);
+                    let hi = (w + pad).saturating_sub(kx).div_ceil(stride).clamp(lo, ow);
+                    for (oy, dst) in row.chunks_exact_mut(ow).enumerate() {
+                        let Some(iy) = (oy * stride + ky).checked_sub(pad).filter(|&iy| iy < h)
+                        else {
+                            dst.fill(0.0);
+                            continue;
+                        };
+                        let src = plane[iy * w..(iy + 1) * w].iter();
+                        let first = (lo * stride + kx).saturating_sub(pad);
+                        dst[..lo].fill(0.0);
+                        for (d, &v) in dst[lo..hi].iter_mut().zip(src.skip(first).step_by(stride)) {
+                            *d = v;
+                        }
+                        dst[hi..].fill(0.0);
+                    }
+                }
+            }
+        }
+    }
+
+    /// im2col gather table for the backward pass: for every `(output
+    /// position, ky, kx)` tap, the channel-local flat input offset
+    /// `iy * w + ix`, or `-1` when the tap lands in the zero padding.
+    /// The table is shared by every image and channel, so backward
+    /// builds it once per batch.
     fn spatial_offsets(&self, h: usize, w: usize, oh: usize, ow: usize) -> Vec<isize> {
         let k = self.kernel;
         let (stride, pad) = (self.stride, self.padding);
@@ -179,53 +226,37 @@ impl Layer for Conv2d {
         let k = self.kernel;
         let positions = oh * ow;
         let patch = cin_g * k * k;
-        let spatial = self.spatial_offsets(h, w, oh, ow);
-
         let weight = self.weight.data();
         let bias = self.bias.data();
         let input_data = input.data();
-        let (groups, out_channels) = (self.groups, self.out_channels);
-        let per_image = out_channels * positions;
+        let groups = self.groups;
+        let per_image = self.out_channels * positions;
 
-        // im2col + GEMM per image, fanned over the batch within the
-        // campaign thread budget. The dot product walks the patch in the
-        // same (ic_local, ky, kx) order as a direct convolution, with
-        // padded taps gathered as literal zeros, so accumulation order —
-        // and hence every f32 bit — matches the direct loop wherever no
-        // padding is involved, and differs from it only by exact `+ 0.0`
-        // terms where it is.
+        // im2col + GEMM per image and group, fanned over the batch within
+        // the campaign thread budget. The module docs give the argument
+        // that every f32 bit matches the per-output dot product.
         crate::exec::for_each_image(out.data_mut(), per_image, |img, out_img| {
             let mut col = vec![0.0f32; positions * patch];
             for g in 0..groups {
-                for ic_local in 0..cin_g {
-                    let ic = g * cin_g + ic_local;
-                    let base = (img * c + ic) * h * w;
-                    for pos in 0..positions {
-                        let taps = &spatial[pos * k * k..(pos + 1) * k * k];
-                        let dst = &mut col[pos * patch + ic_local * k * k..][..k * k];
-                        for (d, &s) in dst.iter_mut().zip(taps) {
-                            *d = if s < 0 {
-                                0.0
-                            } else {
-                                input_data[base + s as usize]
-                            };
-                        }
-                    }
-                }
-                for oc_local in 0..cout_g {
-                    let oc = g * cout_g + oc_local;
-                    let w_row = &weight[oc * patch..(oc + 1) * patch];
-                    let b = bias[oc];
-                    let out_row = &mut out_img[oc * positions..(oc + 1) * positions];
-                    for (pos, o) in out_row.iter_mut().enumerate() {
-                        let patch_row = &col[pos * patch..(pos + 1) * patch];
-                        let mut acc = b;
-                        for (wv, iv) in w_row.iter().zip(patch_row) {
-                            acc += wv * iv;
-                        }
-                        *o = acc;
-                    }
-                }
+                let planes = (img * c + g * cin_g) * h * w;
+                self.im2col(
+                    &input_data[planes..][..cin_g * h * w],
+                    h,
+                    w,
+                    oh,
+                    ow,
+                    &mut col,
+                );
+                let rows = g * cout_g..(g + 1) * cout_g;
+                crate::gemm::gemm_bias(
+                    &weight[rows.start * patch..rows.end * patch],
+                    &col,
+                    &bias[rows.clone()],
+                    &mut out_img[rows.start * positions..rows.end * positions],
+                    cout_g,
+                    patch,
+                    positions,
+                );
             }
         });
         self.cached_input = Some(input.clone());

@@ -1,4 +1,12 @@
 //! Fully-connected (dense) layer and the flattening adapter.
+//!
+//! `Dense` forward runs on the same register-tiled GEMM kernel as
+//! `Conv2d` (`crate::gemm`): the `[n, in]` batch is transposed to
+//! `[in, n]`, multiplied by `W` (`[out, in]`) with the bias as the
+//! accumulators' start, and the `[out, n]` result transposed back. The
+//! kernel's vector lanes run across the batch, so each output still
+//! sums `b[o] + Σ_i W[o][i]·x[i]` in feature order — bit-identical to
+//! the per-output loop over each input row.
 
 use super::{Layer, ParamView};
 use crate::tensor::Tensor;
@@ -92,18 +100,20 @@ impl Layer for Dense {
         assert_eq!(input.shape().len(), 2, "Dense: input must be [n, features]");
         let (n, f) = (input.shape()[0], input.shape()[1]);
         assert_eq!(f, self.in_features, "Dense {}: feature mismatch", self.name);
-        let mut out = Tensor::zeros(&[n, self.out_features]);
-        for img in 0..n {
-            let x = &input.data()[img * f..(img + 1) * f];
-            for o in 0..self.out_features {
-                let row = &self.weight.data()[o * f..(o + 1) * f];
-                let mut acc = self.bias.data()[o];
-                for (wv, xv) in row.iter().zip(x) {
-                    acc += wv * xv;
-                }
-                out.data_mut()[img * self.out_features + o] = acc;
-            }
-        }
+        let out_f = self.out_features;
+        // `[out × f] · [f × n]` on the shared kernel (see the module docs).
+        let x_t = transpose(input.data(), f);
+        let mut y_t = vec![0.0f32; out_f * n];
+        crate::gemm::gemm_bias(
+            self.weight.data(),
+            &x_t,
+            self.bias.data(),
+            &mut y_t,
+            out_f,
+            f,
+            n,
+        );
+        let out = Tensor::from_vec(&[n, out_f], transpose(&y_t, n));
         self.cached_input = Some(input.clone());
         out
     }
@@ -158,6 +168,13 @@ impl Layer for Dense {
     fn param_count(&self) -> usize {
         self.weight.len() + self.bias.len()
     }
+}
+
+/// The transpose of the row-major matrix `m` with `cols` columns.
+fn transpose(m: &[f32], cols: usize) -> Vec<f32> {
+    (0..cols)
+        .flat_map(|j| m.iter().skip(j).step_by(cols).copied())
+        .collect()
 }
 
 /// Reshapes `[n, c, h, w]` activations to `[n, c*h*w]` for the first FC

@@ -11,7 +11,9 @@
 //!   shape utilities the layers need.
 //! * [`layers`] — `Conv2d` (im2col, stride / padding / groups), `Dense`,
 //!   `ReLU` and `MaxPool2d` (overlapping strides) with full forward
-//!   *and* backward passes.
+//!   *and* backward passes. The `Conv2d` and `Dense` forward passes
+//!   share one register-tiled GEMM micro-kernel whose per-output
+//!   accumulation order is the scalar dot product's, bit for bit.
 //! * [`exec`] — the thread budget the campaign layer hands the executor;
 //!   batches fan out over it with byte-identical results at any budget.
 //! * [`loss`] — fused softmax + cross-entropy.
@@ -19,18 +21,20 @@
 //! * [`train`] — SGD (momentum + weight decay) and accuracy evaluation.
 //! * [`data`] — a procedural MNIST-like dataset (hermetic CI default)
 //!   plus an IDX-format loader for real MNIST, selected by environment
-//!   (see DESIGN.md substitution #2).
+//!   (the procedural set substitutes for the paper's MNIST offline).
 //! * [`zoo`] — architecture descriptors with exact parameter counts for
 //!   AlexNet (60,954,656 weights), VGG-16 (138,344,128 weights) and the
 //!   paper's custom MNIST network (227,760 weights), each buildable as
 //!   an executable network with trained-like weights.
 //! * [`weights`] — deterministic synthetic "trained-like" weight streams
-//!   (zero-mean Laplace, He-scaled per layer; DESIGN.md substitution #1)
+//!   (zero-mean Laplace, He-scaled per layer; a statistical substitute
+//!   for pre-trained ImageNet weights, which are unavailable offline)
 //!   that the quantization analysis and the memory simulator consume
 //!   without materialising 138M-parameter tensors.
 
 pub mod data;
 pub mod exec;
+mod gemm;
 pub mod layers;
 pub mod loss;
 pub mod network;

@@ -1,7 +1,7 @@
 //! Deterministic synthetic "trained-like" weight model.
 //!
 //! Real pre-trained ImageNet weights are unavailable offline, so this
-//! module substitutes a statistical model (DESIGN.md substitution #1).
+//! module substitutes a statistical model for them.
 //! Each layer's weights are i.i.d. draws from a *two-sided exponential
 //! with asymmetric tails*:
 //!

@@ -19,8 +19,9 @@
 //!   model (`ΔVth ∝ duty^(1/6) · t^(1/6)`),
 //! * [`snm`] — two SNM models: the **calibrated** model anchored to the
 //!   paper's numbers (10.82 % degradation at 50 % duty and 26.12 % at
-//!   0 %/100 % after 7 years; DESIGN.md substitution #4) used by all
-//!   experiments, and a **butterfly-curve** numerical extractor
+//!   0 %/100 % after 7 years, a substitute for the paper's device-level
+//!   SNM characterisation) used by all experiments, and a
+//!   **butterfly-curve** numerical extractor
 //!   (square-law inverter VTCs, largest-embedded-square search) as the
 //!   device-level reference implementation.
 //!

@@ -4,8 +4,7 @@
 //!
 //! The paper characterises three 64-bit Write Data Encoders with Cadence
 //! Genus on TSMC 65 nm. Neither tool nor library is available offline,
-//! so this crate rebuilds the pipeline from scratch (DESIGN.md
-//! substitution #3):
+//! so this crate substitutes a pipeline rebuilt from scratch:
 //!
 //! * [`library`] — a 65 nm-class standard-cell library (area in
 //!   NAND2-equivalent units, logical-effort-style delays, leakage and
