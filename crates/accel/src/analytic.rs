@@ -71,6 +71,10 @@ impl AnalyticPolicy {
 }
 
 /// Simulation parameters.
+///
+/// The field set is fixed: the benchmark's per-layer replay builds this
+/// struct with an exhaustive literal, so cancellation and telemetry
+/// travel as [`simulate_analytic_telemetry`] arguments instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalyticSimConfig {
     /// Number of inferences over the device lifetime (the paper uses
@@ -121,6 +125,9 @@ const _: () = {
 /// # Panics
 ///
 /// Panics if `sample_stride == 0` or `inferences == 0`.
+///
+/// This 3-argument form stays next to [`simulate_analytic_telemetry`]
+/// because the benchmark's per-layer replay compiles against it.
 ///
 /// # Example
 ///

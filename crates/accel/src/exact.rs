@@ -19,7 +19,7 @@
 //! non-uniform dwell fall back to the scalar [`DutyCycleTracker`],
 //! whose order-sensitive f64 accumulation the stored goldens pin.
 //!
-//! For campaign sweeps, [`simulate_exact_sampled`] simulates every
+//! For campaign sweeps, [`simulate_exact`] simulates every
 //! n-th memory word (the same unbiased word subsample the analytic
 //! simulator's `sample_stride` takes) and caches each block's raw words
 //! across inferences — the weight generator and quantizer are the
@@ -44,7 +44,7 @@ use dnnlife_mitigation::WriteTransducer;
 use dnnlife_sram::{DutyCycleTracker, DutySliceTracker};
 use dnnlife_telemetry::{Counter, SpanId, Telemetry};
 
-/// Raw-block-word cache ceiling for [`simulate_exact_sampled`]: above
+/// Raw-block-word cache ceiling for [`simulate_exact`]: above
 /// this the simulator recomputes words per inference instead of
 /// caching `block_count × sampled_words` u64s. Sharded runs partition
 /// the same budget — each shard caches only its own word range, so the
@@ -92,13 +92,23 @@ fn cancelled(cancel: Option<&AtomicBool>) -> bool {
 }
 
 /// Simulates `inferences` repeated inferences of the block stream
-/// through `transducer`, returning per-cell duty cycles (cell order:
-/// word-major, bit 0 first).
+/// through `transducer` for every `sample_stride`-th memory word (1 =
+/// every word), returning per-cell duty cycles in sampled-word-major
+/// order (bit 0 first) — `simulate_analytic`'s cell order for the same
+/// stride. This is the serial reference [`simulate_exact_sharded`] is
+/// checked against.
+///
+/// The per-address transducer state of the deterministic policies
+/// (inversion parity, barrel-shift counters) is independent across
+/// words, so a strided run produces bit-identical duties for the
+/// sampled words. The DNN-Life policy consumes one TRBG draw per word
+/// write, so striding changes *which* draws each word sees — a
+/// different but identically distributed random stream.
 ///
 /// # Panics
 ///
-/// Panics if the transducer width does not match the memory word width,
-/// or if the source has no blocks.
+/// Panics if the transducer width does not match the memory word
+/// width, if the source has no blocks, or if `sample_stride == 0`.
 ///
 /// # Example
 ///
@@ -115,35 +125,10 @@ fn cancelled(cancel: Option<&AtomicBool>) -> bool {
 ///     42,
 /// );
 /// let mut policy = Passthrough::new(8);
-/// let duties = simulate_exact(&mem, &mut policy, 2);
+/// let duties = simulate_exact(&mem, &mut policy, 2, 1);
 /// assert_eq!(duties.len() as u64, mem.geometry().cells());
 /// ```
 pub fn simulate_exact(
-    source: &dyn BlockSource,
-    transducer: &mut dyn WriteTransducer,
-    inferences: u64,
-) -> Vec<f64> {
-    simulate_exact_sampled(source, transducer, inferences, 1)
-}
-
-/// [`simulate_exact`] restricted to every `sample_stride`-th memory
-/// word — the strided inner loop that keeps exact campaign sweeps
-/// tractable. Returns per-cell duty cycles in sampled-word-major order
-/// (bit 0 first), matching `simulate_analytic`'s cell order for the
-/// same stride.
-///
-/// The per-address transducer state of the deterministic policies
-/// (inversion parity, barrel-shift counters) is independent across
-/// words, so a strided run produces bit-identical duties for the
-/// sampled words. The DNN-Life policy consumes one TRBG draw per word
-/// write, so striding changes *which* draws each word sees — a
-/// different but identically distributed random stream.
-///
-/// # Panics
-///
-/// Panics if the transducer width does not match the memory word
-/// width, if the source has no blocks, or if `sample_stride == 0`.
-pub fn simulate_exact_sampled(
     source: &dyn BlockSource,
     transducer: &mut dyn WriteTransducer,
     inferences: u64,
@@ -154,12 +139,12 @@ pub fn simulate_exact_sampled(
         .expect("uncancellable run cannot be cancelled")
 }
 
-/// [`simulate_exact_sampled`] parallelized across contiguous word
-/// shards: the sampled-word list is split into `cfg.shards` balanced
-/// ranges, each range runs through its own [`WriteTransducer::fork`] on
-/// a scoped thread, and per-shard duty vectors are concatenated in
-/// shard-index order — so the output cell order is exactly
-/// [`simulate_exact_sampled`]'s for every shard count.
+/// [`simulate_exact`] parallelized across contiguous word shards: the
+/// sampled-word list is split into `cfg.shards` balanced ranges, each
+/// range runs through its own [`WriteTransducer::fork`] on a scoped
+/// thread, and per-shard duty vectors are concatenated in shard-index
+/// order — so the output cell order is exactly
+/// [`simulate_exact`]'s for every shard count.
 ///
 /// Determinism: the deterministic policies (per-address state) are
 /// bit-identical to the serial simulator for **any** shard count; the
@@ -177,6 +162,9 @@ pub fn simulate_exact_sampled(
 /// Panics if the transducer width does not match the memory word width,
 /// if the source has no blocks, if `sample_stride == 0`, or if
 /// `cfg.shards == 0`.
+///
+/// Kept apart from [`simulate_exact`], with this 5-argument signature,
+/// because the benchmark's per-layer replay compiles against it.
 pub fn simulate_exact_sharded(
     source: &dyn BlockSource,
     prototype: &dyn WriteTransducer,
@@ -619,7 +607,7 @@ mod tests {
         let mem = tiny_memory();
         let k = mem.block_count();
         let mut policy = Passthrough::new(8);
-        let duties = simulate_exact(&mem, &mut policy, 3);
+        let duties = simulate_exact(&mem, &mut policy, 3, 1);
         // Cross-check a few cells against direct block averaging.
         for (word, bit) in [(0usize, 0usize), (7, 3), (100, 7)] {
             let ones: u64 = (0..k).map(|b| mem.word(b, word) >> bit & 1).sum();
@@ -637,7 +625,7 @@ mod tests {
         let mem = tiny_memory();
         let words = mem.geometry().words;
         let mut policy = PeriodicInversion::new(8, words);
-        let duties = simulate_exact(&mem, &mut policy, 2);
+        let duties = simulate_exact(&mem, &mut policy, 2, 1);
         let k = mem.block_count();
         if k % 2 == 1 {
             // Odd K with an even number of inferences: every cell is
@@ -654,9 +642,9 @@ mod tests {
         let words = mem.geometry().words;
         let width = 8usize;
         let mut full_policy = PeriodicInversion::new(8, words);
-        let full = simulate_exact(&mem, &mut full_policy, 3);
+        let full = simulate_exact(&mem, &mut full_policy, 3, 1);
         let mut strided_policy = PeriodicInversion::new(8, words);
-        let strided = simulate_exact_sampled(&mem, &mut strided_policy, 3, 7);
+        let strided = simulate_exact(&mem, &mut strided_policy, 3, 7);
         for (si, chunk) in strided.chunks(width).enumerate() {
             let word = si * 7;
             assert_eq!(
@@ -764,7 +752,7 @@ mod tests {
     fn width_mismatch_rejected() {
         let mem = tiny_memory();
         let mut policy = Passthrough::new(32);
-        let _ = simulate_exact(&mem, &mut policy, 1);
+        let _ = simulate_exact(&mem, &mut policy, 1, 1);
     }
 
     #[test]
@@ -797,7 +785,7 @@ mod tests {
         ];
         for (name, prototype) in make {
             let mut serial_policy = prototype.fork(0);
-            let serial = simulate_exact_sampled(&mem, serial_policy.as_mut(), 3, 5);
+            let serial = simulate_exact(&mem, serial_policy.as_mut(), 3, 5);
             for shards in [1usize, 2, 3, 8, 64] {
                 for threads in [1usize, 4] {
                     let cfg = ExactShardConfig {
@@ -824,7 +812,7 @@ mod tests {
         let mem = tiny_memory();
         let proto = DnnLife::new(8, AgingController::new(PseudoTrbg::new(77, 0.7), 4));
         let mut serial_policy = proto.fork(0);
-        let serial = simulate_exact_sampled(&mem, serial_policy.as_mut(), 4, 3);
+        let serial = simulate_exact(&mem, serial_policy.as_mut(), 4, 3);
         let cfg = ExactShardConfig::default();
         let sharded = simulate_exact_sharded(&mem, &proto, 4, 3, &cfg).expect("not cancelled");
         assert_eq!(

@@ -17,13 +17,16 @@
 //!   [`dnnlife_mitigation::WriteTransducer`] and a
 //!   [`dnnlife_sram::DutyCycleTracker`]. Exact, but `O(cells × K ×
 //!   inferences)` — used for validation and small configurations.
+//!   [`simulate_exact`] is the serial run; [`simulate_exact_sharded`]
+//!   splits it into forked word shards under an [`ExactShardConfig`].
 //! * [`analytic`] — a closed-form simulator exploiting that the same
 //!   `K` blocks recur every inference: deterministic policies reduce to
 //!   one pass over the blocks, and the DNN-Life policy's TRBG
 //!   randomness collapses into two binomial draws per cell (sum of the
 //!   per-write Bernoulli inversions). `O(cells × K)`, embarrassingly
 //!   parallel, distribution-identical to [`exact`] (cross-validated in
-//!   `tests/`).
+//!   `tests/`): [`simulate_analytic`], or
+//!   [`simulate_analytic_telemetry`] with telemetry and a span parent.
 //!
 //! The block sources in [`plan`] are *random access* — any word of any
 //! block is computable in O(1) from the counter-based weight generator —
@@ -42,7 +45,7 @@ pub use analytic::{
 };
 pub use config::AcceleratorConfig;
 pub use duty_map::UnitDutyMap;
-pub use exact::{simulate_exact, simulate_exact_sampled, simulate_exact_sharded, ExactShardConfig};
+pub use exact::{simulate_exact, simulate_exact_sharded, ExactShardConfig};
 pub use plan::{
     zipf_weights, BlockSource, FifoSlotMemory, FlatWeightMemory, MemoryGeometry, RemappedMemory,
     WeightAddress,

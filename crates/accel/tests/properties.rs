@@ -1,7 +1,7 @@
 //! Property tests for dataflow plans, the analytic simulator and the
 //! exact simulator's packed-bit image.
 
-use dnnlife_accel::exact::{read_bits, simulate_exact_sampled, write_bits};
+use dnnlife_accel::exact::{read_bits, write_bits};
 use dnnlife_accel::{
     simulate_analytic, simulate_exact, simulate_exact_sharded, AcceleratorConfig, AnalyticPolicy,
     AnalyticSimConfig, BlockSource, ExactShardConfig, FifoSlotMemory, FlatWeightMemory,
@@ -132,7 +132,7 @@ proptest! {
                     AnalyticPolicy::BarrelShifter,
                 ),
             };
-        let exact = simulate_exact(&mem, transducer.as_mut(), inferences);
+        let exact = simulate_exact(&mem, transducer.as_mut(), inferences, 1);
         let analytic = simulate_analytic(
             &mem,
             &policy,
@@ -218,8 +218,8 @@ proptest! {
             1 => Box::new(PeriodicInversion::new(8, words)),
             _ => Box::new(BarrelShifter::new(8, words)),
         };
-        let full = simulate_exact(&mem, full_t.as_mut(), inferences);
-        let strided = simulate_exact_sampled(&mem, strided_t.as_mut(), inferences, stride);
+        let full = simulate_exact(&mem, full_t.as_mut(), inferences, 1);
+        let strided = simulate_exact(&mem, strided_t.as_mut(), inferences, stride);
         prop_assert_eq!(strided.len(), words.div_ceil(stride) * width);
         for (si, chunk) in strided.chunks(width).enumerate() {
             let word = si * stride;
@@ -255,7 +255,7 @@ proptest! {
             _ => Box::new(BarrelShifter::new(8, words)),
         };
         let mut serial_t = prototype.fork(0);
-        let serial = simulate_exact_sampled(&mem, serial_t.as_mut(), inferences, stride);
+        let serial = simulate_exact(&mem, serial_t.as_mut(), inferences, stride);
         let cfg = ExactShardConfig {
             shards,
             threads,

@@ -31,7 +31,7 @@ fn analytic_cfg(inferences: u64) -> AnalyticSimConfig {
 fn passthrough_matches_exactly() {
     let mem = tiny_flat(NumberFormat::Int8Symmetric);
     let mut transducer = Passthrough::new(8);
-    let exact = simulate_exact(&mem, &mut transducer, 4);
+    let exact = simulate_exact(&mem, &mut transducer, 4, 1);
     let analytic = simulate_analytic(&mem, &AnalyticPolicy::Passthrough, &analytic_cfg(4));
     assert_eq!(exact.len(), analytic.len());
     for (i, (e, a)) in exact.iter().zip(&analytic).enumerate() {
@@ -43,7 +43,7 @@ fn passthrough_matches_exactly() {
 fn inversion_matches_exactly() {
     let mem = tiny_flat(NumberFormat::Int8Symmetric);
     let mut transducer = PeriodicInversion::new(8, mem.geometry().words);
-    let exact = simulate_exact(&mem, &mut transducer, 5);
+    let exact = simulate_exact(&mem, &mut transducer, 5, 1);
     let analytic = simulate_analytic(&mem, &AnalyticPolicy::PeriodicInversion, &analytic_cfg(5));
     for (i, (e, a)) in exact.iter().zip(&analytic).enumerate() {
         assert!((e - a).abs() < 1e-12, "cell {i}: exact {e}, analytic {a}");
@@ -54,7 +54,7 @@ fn inversion_matches_exactly() {
 fn barrel_matches_exactly() {
     let mem = tiny_flat(NumberFormat::Int8Symmetric);
     let mut transducer = BarrelShifter::new(8, mem.geometry().words);
-    let exact = simulate_exact(&mem, &mut transducer, 5);
+    let exact = simulate_exact(&mem, &mut transducer, 5, 1);
     let analytic = simulate_analytic(&mem, &AnalyticPolicy::BarrelShifter, &analytic_cfg(5));
     for (i, (e, a)) in exact.iter().zip(&analytic).enumerate() {
         assert!((e - a).abs() < 1e-12, "cell {i}: exact {e}, analytic {a}");
@@ -66,7 +66,7 @@ fn barrel_matches_exactly_fp32() {
     // 32-bit words exercise the gcd/lcm arithmetic differently.
     let mem = tiny_flat(NumberFormat::Fp32);
     let mut transducer = BarrelShifter::new(32, mem.geometry().words);
-    let exact = simulate_exact(&mem, &mut transducer, 3);
+    let exact = simulate_exact(&mem, &mut transducer, 3, 1);
     let analytic = simulate_analytic(&mem, &AnalyticPolicy::BarrelShifter, &analytic_cfg(3));
     for (i, (e, a)) in exact.iter().zip(&analytic).enumerate() {
         assert!((e - a).abs() < 1e-12, "cell {i}: exact {e}, analytic {a}");
@@ -82,7 +82,7 @@ fn npu_slots_match_exactly_for_inversion() {
             continue;
         }
         let mut transducer = PeriodicInversion::new(8, slot.geometry().words);
-        let exact = simulate_exact(&slot, &mut transducer, 4);
+        let exact = simulate_exact(&slot, &mut transducer, 4, 1);
         let analytic =
             simulate_analytic(&slot, &AnalyticPolicy::PeriodicInversion, &analytic_cfg(4));
         for (i, (e, a)) in exact.iter().zip(&analytic).enumerate() {
@@ -100,7 +100,7 @@ fn dnn_life_matches_statistically() {
 
     let controller = AgingController::new(PseudoTrbg::new(5, 0.7), 4);
     let mut transducer = DnnLife::new(8, controller);
-    let exact = simulate_exact(&mem, &mut transducer, inferences);
+    let exact = simulate_exact(&mem, &mut transducer, inferences, 1);
 
     let policy = AnalyticPolicy::DnnLife {
         bias: 0.7,
@@ -137,7 +137,7 @@ fn dnn_life_bias_unbalanced_consistency() {
 
     let controller = AgingController::without_balancing(PseudoTrbg::new(6, 0.7));
     let mut transducer = DnnLife::new(8, controller);
-    let exact = simulate_exact(&mem, &mut transducer, inferences);
+    let exact = simulate_exact(&mem, &mut transducer, inferences, 1);
 
     let policy = AnalyticPolicy::DnnLife {
         bias: 0.7,
@@ -248,8 +248,8 @@ fn compute_weighted_residency_ablation() {
     // duty distribution shifts measurably.
     let mut p1 = Passthrough::new(8);
     let mut p2 = Passthrough::new(8);
-    let equal_duties = simulate_exact(&equal, &mut p1, 2);
-    let weighted_duties = simulate_exact(&weighted, &mut p2, 2);
+    let equal_duties = simulate_exact(&equal, &mut p1, 2, 1);
+    let weighted_duties = simulate_exact(&weighted, &mut p2, 2, 1);
     let shift: f64 = equal_duties
         .iter()
         .zip(&weighted_duties)
@@ -261,7 +261,7 @@ fn compute_weighted_residency_ablation() {
     // DNN-Life: balanced at 0.5 under both residency models.
     let controller = AgingController::new(PseudoTrbg::new(5, 0.5), 4);
     let mut wde = DnnLife::new(8, controller);
-    let mitigated = simulate_exact(&weighted, &mut wde, 30);
+    let mitigated = simulate_exact(&weighted, &mut wde, 30, 1);
     let m = mean(&mitigated);
     assert!(
         (m - 0.5).abs() < 0.01,

@@ -36,14 +36,14 @@ fn bench_simulators(c: &mut Criterion) {
     group.bench_function("exact_passthrough_10inf", |b| {
         b.iter_batched_ref(
             || Passthrough::new(8),
-            |t| black_box(simulate_exact(&mem, t, 10)),
+            |t| black_box(simulate_exact(&mem, t, 10, 1)),
             BatchSize::SmallInput,
         );
     });
     group.bench_function("exact_dnnlife_10inf", |b| {
         b.iter_batched_ref(
             || DnnLife::new(8, AgingController::new(PseudoTrbg::new(1, 0.5), 4)),
-            |t| black_box(simulate_exact(&mem, t, 10)),
+            |t| black_box(simulate_exact(&mem, t, 10, 1)),
             BatchSize::SmallInput,
         );
     });

@@ -45,10 +45,10 @@ use dnnlife_campaign::aggregate;
 use dnnlife_campaign::grid::SweepOptions;
 use dnnlife_campaign::perf;
 use dnnlife_campaign::{
-    accuracy_vs_age_table, ecc_comparison_table, run_campaign_instrumented,
-    run_injection_campaign_instrumented, validate_scenarios_instrumented, CampaignGrid,
-    CampaignOptions, InjectCampaignOptions, InjectionGrid, InjectionParams, InjectionStore,
-    Instrumentation, Progress, ResultStore, ShardPolicy, Telemetry,
+    accuracy_vs_age_table, ecc_comparison_table, run_campaign, run_injection_campaign,
+    validate_scenarios, CampaignGrid, CampaignOptions, InjectCampaignOptions, InjectionGrid,
+    InjectionParams, InjectionStore, Instrumentation, Progress, ResultStore, ShardPolicy,
+    Telemetry,
 };
 use dnnlife_core::experiment::{NetworkKind, Platform, PolicySpec};
 use dnnlife_core::{DwellModel, MemoryTech, RepairPolicy, SimulatorBackend};
@@ -371,15 +371,14 @@ fn sweep(argv: &[String]) -> Result<(), CliError> {
         &events,
         &format!("sweep {grid_name}"),
     )?;
-    let instr = Instrumentation {
+    options.cancel = Some(&INTERRUPTED);
+    options.instrumentation = Instrumentation {
         telemetry: telemetry.as_ref(),
         progress: progress.as_ref(),
     };
 
     let started = std::time::Instant::now();
-    let outcome =
-        run_campaign_instrumented(&grid, &store_path, &options, Some(&INTERRUPTED), instr)
-            .map_err(|e| e.to_string())?;
+    let outcome = run_campaign(&grid, &store_path, &options).map_err(|e| e.to_string())?;
     println!(
         "campaign `{grid_name}`: {} executed, {} skipped, {} thread(s), {:.1}s -> {store_path}",
         outcome.executed,
@@ -661,8 +660,7 @@ fn parse_shards(name: &str) -> Result<ShardPolicy, String> {
 
 fn validate(argv: &[String]) -> Result<(), CliError> {
     let mut grid_name: Option<String> = None;
-    let mut threads = 0usize;
-    let mut shards = ShardPolicy::Auto;
+    let mut options = CampaignOptions::default();
     let mut report_only = false;
     let mut telemetry_on = false;
     let mut progress_on = false;
@@ -677,13 +675,13 @@ fn validate(argv: &[String]) -> Result<(), CliError> {
     while let Some(flag) = args.next_flag() {
         match flag {
             "--grid" => grid_name = Some(args.value("--grid")?.to_string()),
-            "--threads" => threads = args.parsed("--threads")?,
+            "--threads" => options.threads = args.parsed("--threads")?,
             "--seed" => sweep_options.base_seed = args.parsed("--seed")?,
             "--stride" => sweep_options.sample_stride = args.parsed("--stride")?,
             "--inferences" => sweep_options.inferences = args.parsed("--inferences")?,
             "--dwell" => sweep_options.dwell = parse_dwell(args.value("--dwell")?)?,
             "--tech" => techs = parse_tech(args.value("--tech")?)?,
-            "--shards" => shards = parse_shards(args.value("--shards")?)?,
+            "--shards" => options.shards = parse_shards(args.value("--shards")?)?,
             "--report-only" => report_only = true,
             "--telemetry" => telemetry_on = true,
             "--progress" => progress_on = true,
@@ -731,20 +729,14 @@ fn validate(argv: &[String]) -> Result<(), CliError> {
         &events,
         &format!("validate {grid_name}"),
     )?;
-    let instr = Instrumentation {
+    options.cancel = Some(&INTERRUPTED);
+    options.instrumentation = Instrumentation {
         telemetry: telemetry.as_ref(),
         progress: progress.as_ref(),
     };
 
     let started = std::time::Instant::now();
-    let results = validate_scenarios_instrumented(
-        &grid.scenarios,
-        threads,
-        shards,
-        Some(&INTERRUPTED),
-        instr,
-    )
-    .ok_or_else(|| {
+    let results = validate_scenarios(&grid.scenarios, &options).ok_or_else(|| {
         format!(
             "validate `{grid_name}` interrupted mid-scenario; \
              completed pairs were discarded"
@@ -1003,20 +995,15 @@ fn inject(argv: &[String]) -> Result<(), CliError> {
         &events,
         "inject",
     )?;
-    let instr = Instrumentation {
+    options.cancel = Some(&INTERRUPTED);
+    options.instrumentation = Instrumentation {
         telemetry: telemetry.as_ref(),
         progress: progress.as_ref(),
     };
 
     let started = std::time::Instant::now();
-    let outcome = run_injection_campaign_instrumented(
-        &grid,
-        &store_path,
-        &options,
-        Some(&INTERRUPTED),
-        instr,
-    )
-    .map_err(|e| e.to_string())?;
+    let outcome =
+        run_injection_campaign(&grid, &store_path, &options).map_err(|e| e.to_string())?;
     let store = InjectionStore::open(&store_path).map_err(|e| e.to_string())?;
     print!("{}", accuracy_vs_age_table(&store));
     print!("{}", ecc_comparison_table(&store));

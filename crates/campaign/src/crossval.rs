@@ -15,86 +15,55 @@
 //! the exact side polls the flag at block granularity — instead of
 //! letting a minutes-long pair run to completion first.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 
-use dnnlife_core::{cross_validate_with, CrossValidation, ExperimentSpec, RunOptions, ShardPolicy};
-use dnnlife_telemetry::Instrumentation;
+use dnnlife_core::{cross_validate_with, CrossValidation, ExperimentSpec, RunOptions};
+use dnnlife_telemetry::SpanId;
 
 use crate::executor::{execute_shared_pool, requested_threads};
+use crate::CampaignOptions;
 
-/// Runs [`dnnlife_core::cross_validate`] for every scenario on
-/// `threads` workers (0 = all cores), returning results in scenario
-/// order.
-pub fn validate_scenarios(scenarios: &[ExperimentSpec], threads: usize) -> Vec<CrossValidation> {
-    validate_scenarios_sharded(scenarios, threads, ShardPolicy::Auto)
-}
-
-/// [`validate_scenarios`] with an explicit exact-backend shard policy
-/// (`dnnlife validate --shards`). The documented tolerances hold for
-/// every shard count, so the nightly tier runs this at `--shards 4` to
-/// keep the sharded exact path under the same contract as the serial
-/// one.
-pub fn validate_scenarios_sharded(
-    scenarios: &[ExperimentSpec],
-    threads: usize,
-    shards: ShardPolicy,
-) -> Vec<CrossValidation> {
-    validate_scenarios_cancellable(scenarios, threads, shards, None)
-        .expect("run without a cancel token cannot be cancelled")
-}
-
-/// [`validate_scenarios_sharded`] under an external cancellation
-/// token: returns `None` iff `cancel` was raised before every pair
+/// Runs [`dnnlife_core::cross_validate_with`] for every scenario on the
+/// shared pool, returning results in scenario order.
+///
+/// Of `options`, `threads` is the two-level budget (each pair gets its
+/// share of spare threads), `shards` the exact-side word-shard policy
+/// (the documented tolerances hold for every shard count), and
+/// `cancel` the external token. `resume` and `verbose` do not apply:
+/// validation has no store. Each pair runs under a root `scenario`
+/// trace span, its simulator counters accumulate into
+/// `options.instrumentation`'s telemetry, and each finished pair ticks
+/// its progress reporter. Never semantic.
+///
+/// Returns `None` iff `options.cancel` was raised before every pair
 /// finished. Completed pairs are discarded in that case — a
 /// cross-validation report is only meaningful over the whole grid.
-pub fn validate_scenarios_cancellable(
+pub fn validate_scenarios(
     scenarios: &[ExperimentSpec],
-    threads: usize,
-    shards: ShardPolicy,
-    cancel: Option<&AtomicBool>,
+    options: &CampaignOptions,
 ) -> Option<Vec<CrossValidation>> {
-    validate_scenarios_instrumented(
-        scenarios,
-        threads,
-        shards,
-        cancel,
-        Instrumentation::default(),
-    )
-}
-
-/// [`validate_scenarios_cancellable`] with an observability sink: the
-/// analytic/exact simulator counters of every pair accumulate into
-/// `instr.telemetry`, and each finished pair ticks `instr.progress`.
-/// Never semantic.
-pub fn validate_scenarios_instrumented(
-    scenarios: &[ExperimentSpec],
-    threads: usize,
-    shards: ShardPolicy,
-    cancel: Option<&AtomicBool>,
-    instr: Instrumentation<'_>,
-) -> Option<Vec<CrossValidation>> {
-    let budget = requested_threads(threads);
+    let instr = options.instrumentation;
+    let telemetry = instr.telemetry();
     if let Some(progress) = instr.progress {
         progress.set_total(scenarios.len());
     }
     let mut slots: Vec<Option<CrossValidation>> = vec![None; scenarios.len()];
     execute_shared_pool(
         scenarios,
-        budget,
-        cancel,
-        // Each pair runs single-threaded internally (matched pairs are
-        // plentiful on real grids); the pool-level fan-out is the
-        // parallelism. The shared flag still reaches the exact
-        // simulator through `cross_validate_with`'s cancel option.
-        |spec, _index, _threads, cancel| {
+        requested_threads(options.threads),
+        options.cancel,
+        |spec, _index, threads, cancel| {
+            let span = telemetry.span_start("scenario", SpanId::NONE);
             let opts = RunOptions {
-                threads: 1,
-                shards,
+                threads,
+                shards: options.shards,
                 cancel: Some(cancel),
                 telemetry: instr.telemetry,
-                ..RunOptions::default()
+                parent_span: span,
             };
-            cross_validate_with(spec, &opts)
+            let cv = cross_validate_with(spec, &opts);
+            telemetry.span_end(span);
+            cv
         },
         |index, cv| {
             slots[index] = Some(cv);
@@ -102,7 +71,13 @@ pub fn validate_scenarios_instrumented(
             true
         },
     );
-    if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
+    if let Some(progress) = instr.progress {
+        progress.finish();
+    }
+    if options
+        .cancel
+        .is_some_and(|flag| flag.load(Ordering::Relaxed))
+    {
         return None;
     }
     Some(
@@ -128,7 +103,11 @@ mod tests {
             ..SweepOptions::default()
         });
         let subset: Vec<_> = grid.scenarios.into_iter().take(4).collect();
-        let results = validate_scenarios(&subset, 2);
+        let options = CampaignOptions {
+            threads: 2,
+            ..CampaignOptions::default()
+        };
+        let results = validate_scenarios(&subset, &options).expect("no cancel token");
         assert_eq!(results.len(), subset.len());
         for (spec, cv) in subset.iter().zip(&results) {
             assert!(cv.label.contains(spec.network.display_name()));
@@ -146,10 +125,14 @@ mod tests {
             backend: SimulatorBackend::Exact,
             ..SweepOptions::default()
         });
-        let flag = AtomicBool::new(true);
+        let flag = std::sync::atomic::AtomicBool::new(true);
         let started = std::time::Instant::now();
-        let result =
-            validate_scenarios_cancellable(&grid.scenarios, 2, ShardPolicy::Auto, Some(&flag));
+        let options = CampaignOptions {
+            threads: 2,
+            cancel: Some(&flag),
+            ..CampaignOptions::default()
+        };
+        let result = validate_scenarios(&grid.scenarios, &options);
         assert!(result.is_none());
         assert!(
             started.elapsed().as_secs() < 30,

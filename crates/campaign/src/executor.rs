@@ -47,9 +47,10 @@ use serde::Serialize;
 use crate::grid::CampaignGrid;
 use crate::store::{ResultStore, ScenarioRecord, StoreLock};
 
-/// Executor knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CampaignOptions {
+/// Executor knobs, shared by [`run_campaign`] and
+/// [`crate::validate_scenarios`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CampaignOptions<'a> {
     /// Total thread budget: scenario workers plus the spare threads
     /// handed to in-flight simulators (0 = all available cores).
     pub threads: usize,
@@ -65,6 +66,13 @@ pub struct CampaignOptions {
     /// explicitly (deterministic policies are bit-identical either
     /// way).
     pub shards: ShardPolicy,
+    /// External cancellation token (the CLI's Ctrl-C handler): idle
+    /// workers stop at their next claim, in-flight exact simulations
+    /// abort within one inference.
+    pub cancel: Option<&'a AtomicBool>,
+    /// Telemetry and progress sinks. Never semantic: the finished store
+    /// is byte-identical with instrumentation on or off.
+    pub instrumentation: Instrumentation<'a>,
 }
 
 /// What a campaign run did.
@@ -81,51 +89,21 @@ pub struct CampaignOutcome {
 /// Runs every scenario of `grid`, journaling into (and finalizing) the
 /// store at `store_path`.
 ///
+/// When `options.cancel` is raised, journaled completions are kept and
+/// the call returns an [`std::io::ErrorKind::Interrupted`] error —
+/// re-running with `resume` picks up exactly the missing scenarios.
+///
 /// # Errors
 ///
-/// Propagates store I/O errors. A panic in a worker (a scenario
-/// panicking mid-simulation) propagates after in-flight completions
-/// have been journaled.
+/// Propagates store I/O errors, including
+/// [`std::io::ErrorKind::WouldBlock`] when another sweep holds the
+/// store's [`StoreLock`]. A panic in a worker (a scenario panicking
+/// mid-simulation) propagates after in-flight completions have been
+/// journaled.
 pub fn run_campaign(
     grid: &CampaignGrid,
     store_path: impl Into<std::path::PathBuf>,
     options: &CampaignOptions,
-) -> std::io::Result<CampaignOutcome> {
-    run_campaign_cancellable(grid, store_path, options, None)
-}
-
-/// [`run_campaign`] under an external cancellation token (the CLI's
-/// Ctrl-C handler): when `cancel` is raised, idle workers stop at
-/// their next claim, in-flight exact simulations abort within one
-/// inference, journaled completions are kept, and the call returns an
-/// [`std::io::ErrorKind::Interrupted`] error — re-running with
-/// `resume` picks up exactly the missing scenarios.
-pub fn run_campaign_cancellable(
-    grid: &CampaignGrid,
-    store_path: impl Into<std::path::PathBuf>,
-    options: &CampaignOptions,
-    cancel: Option<&AtomicBool>,
-) -> std::io::Result<CampaignOutcome> {
-    run_campaign_instrumented(
-        grid,
-        store_path,
-        options,
-        cancel,
-        Instrumentation::default(),
-    )
-}
-
-/// [`run_campaign_cancellable`] with an observability sink: counters,
-/// span timings and `events.jsonl` records flow through
-/// `instr.telemetry`, and per-scenario completions tick
-/// `instr.progress`. Telemetry is never semantic — the finished store
-/// is byte-identical with instrumentation on or off.
-pub fn run_campaign_instrumented(
-    grid: &CampaignGrid,
-    store_path: impl Into<std::path::PathBuf>,
-    options: &CampaignOptions,
-    cancel: Option<&AtomicBool>,
-    instr: Instrumentation<'_>,
 ) -> std::io::Result<CampaignOutcome> {
     let store_path = store_path.into();
     // Held for the whole campaign: a second sweep journaling into the
@@ -198,9 +176,9 @@ pub fn run_campaign_instrumented(
         &keys,
         &specs,
         budget,
-        cancel,
+        options.cancel,
         options.verbose,
-        instr,
+        options.instrumentation,
         |record| record.result.label.clone(),
         |record| record.spec.policy.display_name().to_string(),
         |spec, threads, cancel, span| {
@@ -208,7 +186,7 @@ pub fn run_campaign_instrumented(
                 threads,
                 shards,
                 cancel: Some(cancel),
-                telemetry: instr.telemetry,
+                telemetry: options.instrumentation.telemetry,
                 parent_span: span,
             };
             run_experiment_with(spec, &opts)
@@ -391,6 +369,11 @@ where
                 true
             },
         );
+        // Ends a live progress line on every exit path, so the error or
+        // summary printed next does not land on it.
+        if let Some(progress) = instr.progress {
+            progress.finish();
+        }
         if let Some(e) = journal_error {
             return Err(e);
         }
@@ -421,9 +404,6 @@ where
         }
     }
     store.finalize(keys)?;
-    if let Some(progress) = instr.progress {
-        progress.finish();
-    }
     telemetry.span_end(campaign_span);
     telemetry.emit(
         "campaign_done",

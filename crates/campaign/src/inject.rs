@@ -250,8 +250,8 @@ impl InjectionGrid {
 
 /// Executor knobs for [`run_injection_campaign`] (mirrors
 /// `CampaignOptions`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct InjectCampaignOptions {
+#[derive(Debug, Clone, Copy, Default)]
+pub struct InjectCampaignOptions<'a> {
     /// Total thread budget (0 = all available cores).
     pub threads: usize,
     /// Work-shard override for each cell's analytic duty simulation
@@ -261,6 +261,11 @@ pub struct InjectCampaignOptions {
     pub resume: bool,
     /// Print per-cell progress lines to stderr.
     pub verbose: bool,
+    /// External cancellation token (see [`run_injection_campaign`]).
+    pub cancel: Option<&'a AtomicBool>,
+    /// Telemetry (trial throughput, SECDED roll-ups) and progress
+    /// sinks. Never semantic.
+    pub instrumentation: Instrumentation<'a>,
 }
 
 /// What an injection campaign run did.
@@ -275,33 +280,20 @@ pub struct InjectionOutcome {
 }
 
 /// Runs every cell of `grid`, journaling into (and finalizing) the
-/// injection store at `store_path`. Honors the campaign cancellation
-/// token exactly like the scenario executor: a raised token keeps
-/// journaled cells, aborts in-flight ones between trials, and returns
+/// injection store at `store_path`. Honors `options.cancel` exactly
+/// like the scenario executor: a raised token keeps journaled cells,
+/// aborts in-flight ones between trials, and returns
 /// [`std::io::ErrorKind::Interrupted`].
 ///
 /// # Errors
 ///
-/// Propagates store I/O errors.
+/// Propagates store I/O errors, including
+/// [`std::io::ErrorKind::WouldBlock`] when another campaign holds the
+/// store's [`StoreLock`].
 pub fn run_injection_campaign(
     grid: &InjectionGrid,
     store_path: impl Into<std::path::PathBuf>,
     options: &InjectCampaignOptions,
-    cancel: Option<&AtomicBool>,
-) -> std::io::Result<InjectionOutcome> {
-    run_injection_campaign_instrumented(grid, store_path, options, cancel, Default::default())
-}
-
-/// [`run_injection_campaign`] with an observability sink (mirrors
-/// `run_campaign_instrumented`): trial throughput and SECDED verdict
-/// roll-ups flow through `instr.telemetry`, journaled cells tick
-/// `instr.progress`. Never semantic.
-pub fn run_injection_campaign_instrumented(
-    grid: &InjectionGrid,
-    store_path: impl Into<std::path::PathBuf>,
-    options: &InjectCampaignOptions,
-    cancel: Option<&AtomicBool>,
-    instr: Instrumentation<'_>,
 ) -> std::io::Result<InjectionOutcome> {
     let store_path = store_path.into();
     let _lock = StoreLock::acquire(&store_path)?;
@@ -349,9 +341,9 @@ pub fn run_injection_campaign_instrumented(
         &keys,
         &specs,
         budget,
-        cancel,
+        options.cancel,
         options.verbose,
-        instr,
+        options.instrumentation,
         |record| record.result.label.clone(),
         |record| record.spec.scenario.policy.display_name().to_string(),
         |spec, threads, cancel, span| {
@@ -359,7 +351,7 @@ pub fn run_injection_campaign_instrumented(
                 threads,
                 shards: options.shards,
                 cancel: Some(cancel),
-                telemetry: instr.telemetry,
+                telemetry: options.instrumentation.telemetry,
                 parent_span: span,
             };
             run_injection(spec, &opts).map(|result| InjectionRecord::new((*spec).clone(), result))

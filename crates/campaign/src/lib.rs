@@ -30,6 +30,11 @@
 //!
 //! The `dnnlife` binary (this crate's `src/bin/dnnlife.rs`) exposes the
 //! engine as `sweep` / `report` / `compare` / `validate` subcommands.
+//! Its entry points are [`run_campaign`] and [`validate_scenarios`]
+//! (both under [`CampaignOptions`]) and [`run_injection_campaign`]
+//! (under [`InjectCampaignOptions`]). Both options structs carry the
+//! thread budget, the cancellation token and the [`Instrumentation`]
+//! sink; `Default` means all cores, no token, instrumentation off.
 //!
 //! # Determinism contract
 //!
@@ -82,21 +87,14 @@ pub mod perf;
 pub mod store;
 pub mod trace;
 
-pub use crossval::{
-    validate_scenarios, validate_scenarios_cancellable, validate_scenarios_instrumented,
-    validate_scenarios_sharded,
-};
+pub use crossval::validate_scenarios;
 pub use dnnlife_core::ShardPolicy;
 pub use dnnlife_telemetry::{Counter, Instrumentation, Progress, ProgressStyle, Telemetry};
-pub use executor::{
-    run_campaign, run_campaign_cancellable, run_campaign_instrumented, run_scenarios,
-    CampaignOptions, CampaignOutcome,
-};
+pub use executor::{run_campaign, run_scenarios, CampaignOptions, CampaignOutcome};
 pub use grid::{CampaignGrid, GridAxes};
 pub use inject::{
-    accuracy_vs_age_table, ecc_comparison_table, run_injection_campaign,
-    run_injection_campaign_instrumented, InjectCampaignOptions, InjectionGrid, InjectionOutcome,
-    InjectionParams, InjectionRecord, InjectionStore,
+    accuracy_vs_age_table, ecc_comparison_table, run_injection_campaign, InjectCampaignOptions,
+    InjectionGrid, InjectionOutcome, InjectionParams, InjectionRecord, InjectionStore,
 };
 pub use perf::{load_events, PerfDiff, PerfSummary};
 pub use store::{JsonlStore, ResultStore, ScenarioRecord, StoreLock, StoreRecord};

@@ -57,11 +57,10 @@ fn tiny_grid(policies: &[PolicySpec]) -> InjectionGrid {
 fn run(grid: &InjectionGrid, path: &Path, threads: usize, resume: bool) {
     let options = InjectCampaignOptions {
         threads,
-        shards: 0,
         resume,
-        verbose: false,
+        ..InjectCampaignOptions::default()
     };
-    run_injection_campaign(grid, path, &options, None).expect("injection campaign");
+    run_injection_campaign(grid, path, &options).expect("injection campaign");
 }
 
 /// One end-to-end flow covering the store contract: byte-identity
@@ -94,11 +93,10 @@ fn injection_store_is_deterministic_resumable_and_renders() {
     run(&partial, &resumed, 1, false);
     let options = InjectCampaignOptions {
         threads: 2,
-        shards: 0,
         resume: true,
-        verbose: false,
+        ..InjectCampaignOptions::default()
     };
-    let outcome = run_injection_campaign(&full, &resumed, &options, None).expect("resume campaign");
+    let outcome = run_injection_campaign(&full, &resumed, &options).expect("resume campaign");
     assert_eq!(outcome.skipped, 1, "the completed cell must be reused");
     assert_eq!(outcome.executed, 1);
     assert_eq!(
@@ -327,11 +325,9 @@ fn secded_campaign_resume_is_thread_byte_identical_and_renders() {
         &resumed,
         &InjectCampaignOptions {
             threads: 8,
-            shards: 0,
             resume: true,
-            verbose: false,
+            ..InjectCampaignOptions::default()
         },
-        None,
     )
     .expect("resume campaign");
     assert_eq!(outcome.skipped, 1);

@@ -3,7 +3,10 @@
 //! the interruption tore the journal mid-line.
 
 use dnnlife_campaign::grid::{CampaignGrid, GridAxes, SweepOptions};
-use dnnlife_campaign::{run_campaign, CampaignOptions, ResultStore};
+use dnnlife_campaign::{
+    run_campaign, run_injection_campaign, CampaignOptions, InjectCampaignOptions, InjectionGrid,
+    InjectionParams, ResultStore, StoreLock,
+};
 use dnnlife_core::experiment::{NetworkKind, Platform, PolicySpec, SimulatorBackend};
 use dnnlife_quant::NumberFormat;
 
@@ -89,6 +92,49 @@ fn resume_after_interruption_equals_clean_run() {
             "resumed store differs from clean run (keep={keep}, torn={torn_tail})"
         );
     }
+}
+
+/// A store held by another campaign is left alone: both campaign
+/// drivers refuse it with `WouldBlock`, name the holder's pid, and do
+/// not touch the file — not even the `resume: false` discard. `flock`
+/// conflicts between two open handles in one process, so holding the
+/// lock here stands in for a second running sweep.
+#[test]
+fn locked_store_is_refused_and_left_untouched() {
+    let dir = util::scratch_dir("store-lock");
+    let grid = test_grid();
+    let path = dir.join("store.jsonl");
+    run_campaign(&grid, &path, &CampaignOptions::default()).expect("first run");
+    let before = std::fs::read(&path).expect("read store");
+
+    let lock = StoreLock::acquire(&path).expect("take the lock");
+    let inject_grid = InjectionGrid::build(
+        "lock-test",
+        Platform::TpuLike,
+        NetworkKind::CustomMnist,
+        NumberFormat::Int8Symmetric,
+        &[PolicySpec::None],
+        &InjectionParams::default(),
+    );
+    let errors = [
+        run_campaign(&grid, &path, &CampaignOptions::default()).expect_err("sweep while locked"),
+        run_injection_campaign(&inject_grid, &path, &InjectCampaignOptions::default())
+            .expect_err("inject while locked"),
+    ];
+    for err in errors {
+        assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock, "{err}");
+        let pid = format!("pid {}", std::process::id());
+        assert!(err.to_string().contains(&pid), "{err}");
+        assert_eq!(
+            std::fs::read(&path).expect("read store"),
+            before,
+            "a refused campaign changed the store"
+        );
+    }
+
+    drop(lock);
+    run_campaign(&grid, &path, &CampaignOptions::default())
+        .expect("run after the lock is released");
 }
 
 #[test]

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use dnnlife_campaign::grid::{CampaignGrid, GridAxes, SweepOptions};
 use dnnlife_campaign::{perf, trace};
 use dnnlife_campaign::{
-    run_campaign_instrumented, run_injection_campaign_instrumented, CampaignOptions,
+    run_campaign, run_injection_campaign, validate_scenarios, CampaignOptions,
     InjectCampaignOptions, InjectionGrid, InjectionParams, Instrumentation, ShardPolicy, Telemetry,
 };
 use dnnlife_core::experiment::{DwellModel, NetworkKind, Platform, PolicySpec, SimulatorBackend};
@@ -63,20 +63,14 @@ fn sweep_with(
     let options = CampaignOptions {
         threads,
         resume,
-        verbose: false,
         shards,
-    };
-    run_campaign_instrumented(
-        grid,
-        path,
-        &options,
-        None,
-        Instrumentation {
+        instrumentation: Instrumentation {
             telemetry,
             progress: None,
         },
-    )
-    .expect("campaign run");
+        ..CampaignOptions::default()
+    };
+    run_campaign(grid, path, &options).expect("campaign run");
     std::fs::read(path).expect("read store")
 }
 
@@ -203,21 +197,13 @@ fn inject_store_bytes_identical_with_telemetry_on_or_off() {
     let run = |path: &Path, threads: usize, telemetry: Option<&Telemetry>| -> Vec<u8> {
         let options = InjectCampaignOptions {
             threads,
-            shards: 0,
-            resume: false,
-            verbose: false,
-        };
-        run_injection_campaign_instrumented(
-            &grid,
-            path,
-            &options,
-            None,
-            Instrumentation {
+            instrumentation: Instrumentation {
                 telemetry,
                 progress: None,
             },
-        )
-        .expect("injection campaign");
+            ..InjectCampaignOptions::default()
+        };
+        run_injection_campaign(&grid, path, &options).expect("injection campaign");
         std::fs::read(path).expect("read store")
     };
 
@@ -415,17 +401,16 @@ fn cancelled_campaign_reports_completion_summary() {
     let events = dir.join("aborted.events.jsonl");
     let telemetry = Telemetry::with_journal(&events).expect("open journal");
     let cancel = AtomicBool::new(true); // raised before the first claim
-    let err = run_campaign_instrumented(
-        &grid,
-        dir.join("aborted.jsonl"),
-        &CampaignOptions::default(),
-        Some(&cancel),
-        Instrumentation {
+    let options = CampaignOptions {
+        cancel: Some(&cancel),
+        instrumentation: Instrumentation {
             telemetry: Some(&telemetry),
             progress: None,
         },
-    )
-    .expect_err("pre-raised cancel token must abort the campaign");
+        ..CampaignOptions::default()
+    };
+    let err = run_campaign(&grid, dir.join("aborted.jsonl"), &options)
+        .expect_err("pre-raised cancel token must abort the campaign");
     drop(telemetry);
     assert!(cancel.load(Ordering::Relaxed));
     assert_eq!(err.kind(), std::io::ErrorKind::Interrupted);
@@ -505,6 +490,53 @@ fn sweep_journal_reconstructs_a_complete_span_forest() {
     assert!(paths[0].1.len() >= 2, "path descends into scenarios");
 }
 
+/// `validate` joins the span tree: each matched pair runs under its own
+/// `scenario` span, so no plan-build or simulator-shard span is left at
+/// the root of the rebuilt trace.
+#[test]
+fn validate_journal_nests_simulator_spans_under_scenarios() {
+    let dir = util::scratch_dir("telemetry-validate-spans");
+    let scenarios: Vec<_> = CampaignGrid::fig11(SweepOptions {
+        sample_stride: 1024,
+        inferences: 8,
+        backend: SimulatorBackend::Exact,
+        ..SweepOptions::default()
+    })
+    .scenarios
+    .into_iter()
+    .take(3)
+    .collect();
+    let events = dir.join("validate.events.jsonl");
+    let telemetry = Telemetry::with_journal(&events).expect("open journal");
+    let options = CampaignOptions {
+        threads: 2,
+        instrumentation: Instrumentation {
+            telemetry: Some(&telemetry),
+            progress: None,
+        },
+        ..CampaignOptions::default()
+    };
+    let results = validate_scenarios(&scenarios, &options).expect("no cancel token");
+    assert_eq!(results.len(), scenarios.len());
+    drop(telemetry);
+
+    let forest = trace::load_trace(&events).expect("load journal");
+    assert!(forest.is_complete_forest());
+    assert_eq!(forest.unended, 0);
+    let count = |needle: &str| forest.spans.iter().filter(|s| s.label == needle).count();
+    assert_eq!(count("scenario"), scenarios.len(), "one span per pair");
+    assert!(count("plan_build") > 0);
+    assert!(count("exact_shard") > 0);
+    assert!(count("analytic_shard") > 0);
+    for root in forest.roots() {
+        assert!(
+            !["plan_build", "exact_shard", "analytic_shard"].contains(&root.label.as_str()),
+            "root-level `{}` span",
+            root.label
+        );
+    }
+}
+
 /// The injector nests its training, duty-simulation and clean-score
 /// spans, one each per cell, and its per-trial decode and score spans
 /// under the executor's scenario spans.
@@ -516,21 +548,13 @@ fn injection_journal_carries_per_trial_spans() {
     let telemetry = Telemetry::with_journal(&events).expect("open journal");
     let options = InjectCampaignOptions {
         threads: 2,
-        shards: 0,
-        resume: false,
-        verbose: false,
-    };
-    run_injection_campaign_instrumented(
-        &grid,
-        dir.join("inject.jsonl"),
-        &options,
-        None,
-        Instrumentation {
+        instrumentation: Instrumentation {
             telemetry: Some(&telemetry),
             progress: None,
         },
-    )
-    .expect("injection campaign");
+        ..InjectCampaignOptions::default()
+    };
+    run_injection_campaign(&grid, dir.join("inject.jsonl"), &options).expect("injection campaign");
     drop(telemetry);
 
     let forest = trace::load_trace(&events).expect("load journal");

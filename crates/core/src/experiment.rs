@@ -967,7 +967,8 @@ fn simulate_units(
     Some((units, blocks))
 }
 
-/// Runs one experiment with the paper-calibrated SNM model.
+/// Runs one experiment with the paper-calibrated SNM model on all
+/// cores ([`run_experiment_with`] under [`RunOptions::default`]).
 ///
 /// Pure: the result is a deterministic function of the spec alone
 /// (the DNN-Life TRBG draws are counter-seeded from `spec.seed`), and
@@ -979,29 +980,21 @@ fn simulate_units(
 /// non-uniform dwell on the analytic backend, malformed dwell
 /// parameters — see [`ExperimentSpec::is_valid`]).
 pub fn run_experiment(spec: &ExperimentSpec) -> ExperimentResult {
-    run_experiment_threaded(spec, 0)
-}
-
-/// [`run_experiment`] with an explicit simulator thread count (0 = all
-/// cores). Both backends honour it: the analytic simulator shards
-/// cells, the exact simulator runs its word shards
-/// ([`ShardPolicy::Auto`]) on that many threads. The campaign executor
-/// passes each scenario its slice of the two-level thread budget so
-/// scenario-level parallelism isn't multiplied by cell-level
-/// parallelism.
-pub fn run_experiment_threaded(spec: &ExperimentSpec, threads: usize) -> ExperimentResult {
-    let opts = RunOptions {
-        threads,
-        ..RunOptions::default()
-    };
-    run_experiment_with(spec, &opts).expect("run without a cancel token cannot be cancelled")
+    run_experiment_with(spec, &RunOptions::default())
+        .expect("run without a cancel token cannot be cancelled")
 }
 
 /// [`run_experiment`] under an explicit execution budget
 /// ([`RunOptions`]: simulator threads, exact-backend shard policy,
-/// cooperative cancellation). Returns `None` iff `opts.cancel` was
-/// raised before the run finished — the partial result is discarded,
-/// never observable.
+/// cooperative cancellation, telemetry). Both backends honour
+/// `opts.threads`: the analytic simulator shards cells, the exact
+/// simulator runs its word shards on that many threads; the campaign
+/// executor passes each scenario its slice of the two-level thread
+/// budget. Returns `None` iff `opts.cancel` was raised before the run
+/// finished — the partial result is discarded, never observable.
+///
+/// The name is kept (rather than folding this into `run_experiment`)
+/// because the benchmark's per-layer replay compiles against it.
 ///
 /// # Panics
 ///
@@ -1137,56 +1130,39 @@ fn per_cell_duties(
     Some(units.into_iter().flatten().collect())
 }
 
-/// Runs the matched analytic/exact pair for `spec` and reports
-/// per-cell duty divergence. The analytic side always runs uniform
-/// dwell (its closed forms require assumption (b)); the exact side
-/// runs the spec's dwell model — so under `DwellModel::Uniform` this
-/// cross-validates the two simulators, and under a non-uniform model
-/// it quantifies how much the equal-residency assumption distorts the
-/// duty cycles of this scenario. Cell order is identical on both
-/// sides (sampled-word-major, slot by slot on the NPU).
+/// Runs the matched analytic/exact pair for `spec` on all cores
+/// ([`cross_validate_with`] under [`RunOptions::default`]).
 ///
 /// # Panics
 ///
 /// Panics if the spec's *exact* variant is invalid (see
 /// [`ExperimentSpec::is_valid`]).
 pub fn cross_validate(spec: &ExperimentSpec) -> CrossValidation {
-    cross_validate_sharded(spec, ShardPolicy::Auto)
+    cross_validate_with(spec, &RunOptions::default())
+        .expect("run without a cancel token cannot be cancelled")
 }
 
-/// [`cross_validate`] with an explicit exact-backend shard policy —
-/// what `dnnlife validate --shards` and the nightly sharded crossval
-/// tier run. The documented tolerances hold for every shard count:
+/// Runs the matched analytic/exact pair for `spec` under an explicit
+/// execution budget and reports per-cell duty divergence. The analytic
+/// side always runs uniform dwell (its closed forms require assumption
+/// (b)); the exact side runs the spec's dwell model — so under
+/// `DwellModel::Uniform` this cross-validates the two simulators, and
+/// under a non-uniform model it quantifies how much the
+/// equal-residency assumption distorts the duty cycles of this
+/// scenario. Cell order is identical on both sides (sampled-word-major,
+/// slot by slot on the NPU).
+///
+/// The documented tolerances hold for every `opts.shards` value:
 /// deterministic policies are partition-invariant, and each DNN-Life
-/// shard stream is identically distributed.
-pub fn cross_validate_sharded(spec: &ExperimentSpec, shards: ShardPolicy) -> CrossValidation {
-    cross_validate_cancellable(spec, shards, None).expect("run without a cancel token")
-}
-
-/// [`cross_validate_sharded`] under a cooperative cancellation token:
-/// returns `None` iff `cancel` was raised before both sides finished —
-/// the exact side polls at block granularity, so a raised token aborts
-/// a cross-validation pair *mid-scenario* rather than after its
-/// minutes-long exact run completes. This is what lets the campaign
-/// `validate` fan-out (and its Ctrl-C handling) stop promptly.
-pub fn cross_validate_cancellable(
-    spec: &ExperimentSpec,
-    shards: ShardPolicy,
-    cancel: Option<&AtomicBool>,
-) -> Option<CrossValidation> {
-    let opts = RunOptions {
-        threads: 1,
-        shards,
-        cancel,
-        ..RunOptions::default()
-    };
-    cross_validate_with(spec, &opts)
-}
-
-/// [`cross_validate_cancellable`] under a full [`RunOptions`] budget —
-/// the instrumented campaign `validate` fan-out threads its telemetry
-/// sink through here. `opts.threads` is honoured as given (the
-/// campaign executor already splits its two-level budget per pair).
+/// shard stream is identically distributed. `opts.threads` is never
+/// semantic. Returns `None` iff `opts.cancel` was raised before both
+/// sides finished — the exact side polls at block granularity, so a
+/// raised token aborts a pair mid-scenario.
+///
+/// # Panics
+///
+/// Panics if the spec's *exact* variant is invalid (see
+/// [`ExperimentSpec::is_valid`]).
 pub fn cross_validate_with(spec: &ExperimentSpec, opts: &RunOptions) -> Option<CrossValidation> {
     let mut exact_spec = spec.clone();
     exact_spec.backend = SimulatorBackend::Exact;

@@ -17,6 +17,10 @@
 //!   converts lifetime duty cycles into the SNM-degradation histograms
 //!   of Fig. 9 and Fig. 11; [`report`] renders them.
 //!
+//! [`run_experiment`] runs one scenario and [`cross_validate`] its
+//! matched analytic/exact pair; their `_with` forms take a
+//! [`RunOptions`] (threads, shards, cancellation, telemetry).
+//!
 //! # Quickstart
 //!
 //! ```
@@ -56,10 +60,9 @@ pub use dnnlife_quant::RepairPolicy;
 pub use dnnlife_sram::MemoryTech;
 pub use dnnlife_telemetry::{Counter, Instrumentation, Progress, ProgressStyle, Telemetry};
 pub use experiment::{
-    cross_validate, cross_validate_cancellable, cross_validate_sharded, cross_validate_with,
-    run_experiment, run_experiment_threaded, run_experiment_with, CrossValidation, DwellModel,
-    ExperimentResult, ExperimentSpec, NetworkKind, Platform, PolicySpec, RunOptions, ShardPolicy,
-    SimulatorBackend,
+    cross_validate, cross_validate_with, run_experiment, run_experiment_with, CrossValidation,
+    DwellModel, ExperimentResult, ExperimentSpec, NetworkKind, Platform, PolicySpec, RunOptions,
+    ShardPolicy, SimulatorBackend,
 };
 pub use faultspec::FaultInjectionSpec;
 pub use probmodel::DutyCycleModel;
