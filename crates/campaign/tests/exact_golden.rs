@@ -18,7 +18,7 @@ use dnnlife_campaign::grid::{CampaignGrid, GridAxes, SweepOptions};
 use dnnlife_campaign::{run_campaign, CampaignOptions, ShardPolicy};
 use dnnlife_core::experiment::{DwellModel, NetworkKind, Platform, PolicySpec, SimulatorBackend};
 use dnnlife_core::MemoryTech;
-use dnnlife_quant::NumberFormat;
+use dnnlife_quant::{NumberFormat, RepairPolicy};
 
 mod util;
 
@@ -78,6 +78,39 @@ fn dwell_grid() -> CampaignGrid {
         },
     }
     .build("exact-golden-dwell")
+}
+
+/// Flat-memory dwell cells: layer-proportional, Zipf and per-layer
+/// custom residency on the baseline buffer and the two-fill crossbar,
+/// each plain and under the default SECDED code, so the flat plan's
+/// dwell weights and its encode+ECC word path are pinned on the exact
+/// backend (the single-fill baseline normalises any dwell model to
+/// uniform; the crossbar's two fills make the weights matter).
+fn flat_dwell_grid() -> CampaignGrid {
+    GridAxes {
+        platforms: vec![Platform::Baseline, Platform::Crossbar],
+        networks: vec![NetworkKind::CustomMnist],
+        formats: vec![NumberFormat::Int8Symmetric],
+        policies: vec![PolicySpec::None, PolicySpec::BarrelShifter],
+        lifetimes_years: vec![7.0],
+        backends: vec![SimulatorBackend::Exact],
+        dwells: vec![
+            DwellModel::LayerProportional,
+            DwellModel::Zipf { exponent: 1.0 },
+            DwellModel::Custom {
+                factors: vec![8.0, 4.0, 2.0, 1.0],
+            },
+        ],
+        repairs: vec![RepairPolicy::None, RepairPolicy::Secded { interleave: 1 }],
+        techs: Vec::new(),
+        options: SweepOptions {
+            base_seed: 42,
+            sample_stride: 512,
+            inferences: 6,
+            ..SweepOptions::default()
+        },
+    }
+    .build("exact-golden-dwell-flat")
 }
 
 fn sweep_bytes(dir: &Path, grid: &CampaignGrid, threads: usize, shards: ShardPolicy) -> Vec<u8> {
@@ -196,5 +229,18 @@ fn dwell_store_is_byte_identical_across_threads_and_shards() {
         let combo = format!("threads={threads} shards={}", shards.display_name());
         let bytes = sweep_bytes(&dir, &grid, threads, shards);
         assert_matches_fixture(&bytes, "exact_dwell.jsonl", &combo);
+    }
+}
+
+/// Flat-memory dwell and SECDED cells are pinned the same way.
+#[test]
+fn flat_dwell_store_is_byte_identical_across_threads_and_shards() {
+    let dir = util::scratch_dir("exact-golden-dwell-flat");
+    let grid = flat_dwell_grid();
+    assert_eq!(grid.len(), 24, "every flat dwell cell must be valid");
+    for (threads, shards) in [(1usize, ShardPolicy::Auto), (8, ShardPolicy::Fixed(8))] {
+        let combo = format!("threads={threads} shards={}", shards.display_name());
+        let bytes = sweep_bytes(&dir, &grid, threads, shards);
+        assert_matches_fixture(&bytes, "exact_dwell_flat.jsonl", &combo);
     }
 }
