@@ -47,6 +47,6 @@ pub use config::AcceleratorConfig;
 pub use duty_map::UnitDutyMap;
 pub use exact::{simulate_exact, simulate_exact_sharded, ExactShardConfig};
 pub use plan::{
-    zipf_weights, BlockSource, FifoSlotMemory, FlatWeightMemory, MemoryGeometry, RemappedMemory,
-    WeightAddress,
+    BlockSource, FifoSlotMemory, FlatWeightMemory, MemoryGeometry, PlanLayout, RemappedMemory,
+    WeightAddress, WeightPlan,
 };

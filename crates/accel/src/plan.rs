@@ -3,7 +3,10 @@
 //! Both platforms follow the Fig. 5 discipline — filters are grouped
 //! into sets of `f`, each set is split into chunks that fit on chip,
 //! and blocks stream through the memory in (layer, set, chunk) order —
-//! but the physical memories differ:
+//! so both memories are one [`WeightPlan`]: one layer table (shape,
+//! weight source, calibrated quantizer), one ECC step, one set of
+//! dwell weights. They differ only in the address layout, i.e. where
+//! a stream word lands:
 //!
 //! * [`FlatWeightMemory`] — the baseline accelerator's single weight
 //!   buffer: every block rewrites the whole memory.
@@ -27,6 +30,10 @@ use dnnlife_nn::weights::{LayerWeightGen, WeightRange};
 use dnnlife_nn::zoo::NetworkSpec;
 use dnnlife_quant::{EccLayout, NumberFormat, Quantizer, RepairPolicy};
 
+mod layout;
+
+use layout::{FifoSlot, Flat, Layout, PlanLayer};
+
 /// Where one layer's weight values come from: the synthetic
 /// counter-based generator (the default — pure `O(1)` random access),
 /// or an explicit per-layer table (trained weights supplied by the
@@ -36,7 +43,8 @@ use dnnlife_quant::{EccLayout, NumberFormat, Quantizer, RepairPolicy};
 enum WeightSource {
     /// Synthetic trained-like model (`dnnlife_nn::weights`).
     Gen(LayerWeightGen),
-    /// Explicit weight table in canonical `[out][in]` order.
+    /// Explicit weight table in canonical `[out][in]` order, shared by
+    /// the four FIFO slots of one NPU plan.
     Table(Arc<Vec<f32>>),
 }
 
@@ -71,11 +79,15 @@ impl WeightSource {
     }
 }
 
-/// Validates explicit per-layer tables against `spec` and wraps each
-/// in a shared handle — built once per plan *set*, so the four FIFO
-/// slots of one NPU plan share the same table allocations instead of
-/// deep-copying every weight per slot.
-fn shared_tables(spec: &NetworkSpec, tables: &[Vec<f32>]) -> Vec<Arc<Vec<f32>>> {
+/// Per-layer synthetic weight sources for `spec` under `seed`.
+fn generated_sources(spec: &NetworkSpec, seed: u64) -> Vec<WeightSource> {
+    (0..spec.layers().len())
+        .map(|li| WeightSource::Gen(LayerWeightGen::new(spec, li, seed)))
+        .collect()
+}
+
+/// Per-layer sources over explicit tables, validated against `spec`.
+fn table_sources(spec: &NetworkSpec, tables: &[Vec<f32>]) -> Vec<WeightSource> {
     assert_eq!(
         tables.len(),
         spec.layers().len(),
@@ -95,20 +107,32 @@ fn shared_tables(spec: &NetworkSpec, tables: &[Vec<f32>]) -> Vec<Arc<Vec<f32>>> 
                 table.len(),
                 layer.weight_count()
             );
-            Arc::new(table.clone())
+            WeightSource::Table(Arc::new(table.clone()))
         })
         .collect()
 }
 
-/// Per-layer weight sources over shared table handles.
-fn sources_from_shared(shared: &[Arc<Vec<f32>>]) -> Vec<WeightSource> {
-    shared.iter().cloned().map(WeightSource::Table).collect()
-}
+/// Sample cap for quantizer range calibration (see
+/// [`dnnlife_quant::distribution::DEFAULT_SAMPLE_CAP`]).
+const RANGE_CAP: u64 = 1_000_000;
 
-/// Builds per-layer weight sources from explicit tables, validating the
-/// shape against `spec`.
-fn table_sources(spec: &NetworkSpec, tables: &[Vec<f32>]) -> Vec<WeightSource> {
-    sources_from_shared(&shared_tables(spec, tables))
+/// The layer table of `spec`: shapes plus one quantizer per layer,
+/// calibrated on the first [`RANGE_CAP`] weights of its source.
+fn layer_table(
+    spec: &NetworkSpec,
+    format: NumberFormat,
+    sources: Vec<WeightSource>,
+) -> Vec<PlanLayer> {
+    spec.layers()
+        .iter()
+        .zip(sources)
+        .map(|(layer, source)| PlanLayer {
+            filters: layer.filter_count(),
+            weights_per_filter: layer.weights_per_filter(),
+            quantizer: Quantizer::calibrate(format, &source.range(RANGE_CAP)),
+            source,
+        })
+        .collect()
 }
 
 /// Physical location of one canonical weight inside a memory unit:
@@ -173,22 +197,27 @@ pub trait BlockSource: Sync {
     fn label(&self) -> String;
 }
 
-/// Per-layer slice of a flat dataflow plan.
+/// The address layout of a [`WeightPlan`] — [`FlatWeightMemory`]'s
+/// single buffer or [`FifoSlotMemory`]'s FIFO slot. Sealed: the
+/// mapping methods are private to this module.
+pub trait PlanLayout: Layout {}
+
+impl<L: Layout> PlanLayout for L {}
+
+/// One memory unit's weight plan under the Fig. 5 dataflow: the layer
+/// table, the optional SECDED layout and dwell weights, and the address
+/// layout `L` that places the stream in the unit. Built as a
+/// [`FlatWeightMemory`] or the slots of a [`FifoSlotMemory`].
 #[derive(Debug, Clone)]
-struct LayerPlan {
-    /// Offset of this layer in the dataflow-ordered weight stream.
-    stream_offset: u64,
-    /// Stream length of this layer: `sets × f × weights_per_filter`
-    /// (ragged final sets carry zero-padded lanes).
-    stream_len: u64,
-    /// Filters in the layer.
-    filters: u64,
-    /// Weights per filter.
-    weights_per_filter: u64,
-    /// Weight values for the layer.
-    source: WeightSource,
-    /// Calibrated quantizer for the layer.
-    quantizer: Quantizer,
+pub struct WeightPlan<L: PlanLayout> {
+    layout: L,
+    layers: Vec<PlanLayer>,
+    geometry: MemoryGeometry,
+    /// Optional SECDED layout: stored words carry parity columns.
+    ecc: Option<EccLayout>,
+    /// Optional per-block relative residency (mean 1.0).
+    dwell_weights: Option<Vec<f64>>,
+    label: String,
 }
 
 /// The baseline accelerator's weight buffer under the Fig. 5 dataflow.
@@ -216,23 +245,34 @@ struct LayerPlan {
 /// );
 /// assert_eq!(mem.block_count(), 117);
 /// ```
-#[derive(Debug, Clone)]
-pub struct FlatWeightMemory {
-    geometry: MemoryGeometry,
-    parallel_filters: u64,
-    layers: Vec<LayerPlan>,
-    stream_len: u64,
-    total_blocks: u64,
-    label: String,
-    /// Optional per-block relative residency (mean 1.0).
-    dwell_weights: Option<Vec<f64>>,
-    /// Optional SECDED layout: stored words carry parity columns.
-    ecc: Option<EccLayout>,
-}
+pub type FlatWeightMemory = WeightPlan<Flat>;
 
-/// Sample cap for quantizer range calibration (see
-/// [`dnnlife_quant::distribution::DEFAULT_SAMPLE_CAP`]).
-const RANGE_CAP: u64 = 1_000_000;
+/// One slot of the TPU-like NPU's circular weight FIFO.
+///
+/// The FIFO is four tiles deep; the global tile stream (layer by layer,
+/// filter-set by filter-set, then row-chunks — the Fig. 5 order with
+/// `f = 256`) is written round-robin, so slot `s` holds tiles
+/// `s, s + 4, s + 8, …`. Each slot is simulated as its own 256 × 256 ×
+/// 8-bit memory unit; Fig. 11 histograms merge the four slots.
+///
+/// # Example
+///
+/// ```
+/// use dnnlife_accel::{BlockSource, FifoSlotMemory};
+/// use dnnlife_nn::NetworkSpec;
+/// use dnnlife_quant::NumberFormat;
+///
+/// let slots = FifoSlotMemory::all_slots(
+///     &NetworkSpec::custom_mnist(),
+///     NumberFormat::Int8Symmetric,
+///     42,
+/// );
+/// assert_eq!(slots.len(), 4);
+/// let total: u64 = slots.iter().map(|s| s.block_count()).sum();
+/// // The custom network spans 8 tiles: conv1 1, conv2 2, fc1 4, fc2 1.
+/// assert_eq!(total, 8);
+/// ```
+pub type FifoSlotMemory = WeightPlan<FifoSlot>;
 
 impl FlatWeightMemory {
     /// Plans the dataflow of `spec` on `config` with weights stored in
@@ -247,13 +287,7 @@ impl FlatWeightMemory {
         format: NumberFormat,
         seed: u64,
     ) -> Self {
-        let sources = spec
-            .layers()
-            .iter()
-            .enumerate()
-            .map(|(li, _)| WeightSource::Gen(LayerWeightGen::new(spec, li, seed)))
-            .collect();
-        Self::with_sources(config, spec, format, sources)
+        Self::flat(config, spec, format, generated_sources(spec, seed))
     }
 
     /// Plans the same dataflow with weights read from explicit
@@ -274,57 +308,113 @@ impl FlatWeightMemory {
         format: NumberFormat,
         tables: &[Vec<f32>],
     ) -> Self {
-        Self::with_sources(config, spec, format, table_sources(spec, tables))
+        Self::flat(config, spec, format, table_sources(spec, tables))
     }
 
-    fn with_sources(
+    fn flat(
         config: &crate::config::AcceleratorConfig,
         spec: &NetworkSpec,
         format: NumberFormat,
         sources: Vec<WeightSource>,
     ) -> Self {
         let word_bits = format.bits() as u32;
-        let words = config.weight_capacity(word_bits) as usize;
+        let words = config.weight_capacity(word_bits);
         assert!(words > 0, "FlatWeightMemory: memory holds no weights");
-        let f = config.parallel_filters;
-        let mut layers = Vec::with_capacity(spec.layers().len());
-        let mut offset = 0u64;
-        for (layer, source) in spec.layers().iter().zip(sources) {
-            let filters = layer.filter_count();
-            let wpf = layer.weights_per_filter();
-            let sets = filters.div_ceil(f);
-            let stream_len = sets * f * wpf;
-            let quantizer = Quantizer::calibrate(format, &source.range(RANGE_CAP));
-            layers.push(LayerPlan {
-                stream_offset: offset,
-                stream_len,
-                filters,
-                weights_per_filter: wpf,
-                source,
-                quantizer,
-            });
-            offset += stream_len;
-        }
-        let total_blocks = offset.div_ceil(words as u64);
+        let layers = layer_table(spec, format, sources);
         Self {
-            geometry: MemoryGeometry { word_bits, words },
-            parallel_filters: f,
+            layout: Flat::new(&layers, config.parallel_filters, words),
             layers,
-            stream_len: offset,
-            total_blocks,
-            label: format!("{}/{}/{}", config.name, spec.name(), format),
-            dwell_weights: None,
+            geometry: MemoryGeometry {
+                word_bits,
+                words: words as usize,
+            },
             ecc: None,
+            dwell_weights: None,
+            label: format!("{}/{}/{}", config.name, spec.name(), format),
         }
     }
 
+    /// Length of the dataflow-ordered weight stream (including padded
+    /// lanes of ragged final filter sets).
+    pub fn stream_len(&self) -> u64 {
+        self.layout.stream_len()
+    }
+}
+
+impl FifoSlotMemory {
+    /// FIFO depth in tiles (Table I: "four tiles deep").
+    pub const DEPTH: u64 = 4;
+    /// Tile side in weights (256 × 256 PE array).
+    pub const TILE_SIDE: u64 = 256;
+
+    /// All four slots of the FIFO. The layer table (quantizer
+    /// calibration included) is slot-independent, so it is computed
+    /// once and shared — building all four slots costs one calibration
+    /// sweep, not four.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `format` is not 8-bit (the NPU datapath is 8-bit per
+    /// Table I).
+    pub fn all_slots(spec: &NetworkSpec, format: NumberFormat, seed: u64) -> Vec<Self> {
+        Self::slots(spec, format, generated_sources(spec, seed))
+    }
+
+    /// All four slots with explicit per-layer weight tables — see
+    /// [`FlatWeightMemory::with_weight_tables`]. The slots share the
+    /// table allocations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `format` is not 8-bit or the tables disagree with
+    /// `spec`.
+    pub fn all_slots_with_weight_tables(
+        spec: &NetworkSpec,
+        format: NumberFormat,
+        tables: &[Vec<f32>],
+    ) -> Vec<Self> {
+        Self::slots(spec, format, table_sources(spec, tables))
+    }
+
+    fn slots(spec: &NetworkSpec, format: NumberFormat, sources: Vec<WeightSource>) -> Vec<Self> {
+        assert_eq!(
+            format.bits(),
+            8,
+            "FifoSlotMemory: the NPU weight FIFO stores 8-bit weights"
+        );
+        let layers = layer_table(spec, format, sources);
+        FifoSlot::all(&layers)
+            .into_iter()
+            .enumerate()
+            .map(|(slot, layout)| Self {
+                layout,
+                layers: layers.clone(),
+                geometry: MemoryGeometry {
+                    word_bits: 8,
+                    words: layout::TILE_WORDS as usize,
+                },
+                ecc: None,
+                dwell_weights: None,
+                label: format!("tpu-like-npu/{}/{format}/slot{slot}", spec.name()),
+            })
+            .collect()
+    }
+
+    /// Total tiles streamed per inference (across all slots).
+    pub fn total_tiles(&self) -> u64 {
+        self.layout.total_tiles()
+    }
+}
+
+impl<L: PlanLayout> WeightPlan<L> {
     /// Wraps the stored words in `policy`'s error-correcting code: the
     /// memory grows the parity columns ([`RepairPolicy::parity_bits`]
     /// extra bits per word, reflected in [`BlockSource::geometry`]),
     /// and every stored word becomes the interleaved codeword of its
     /// data word — so the duty and lifetime models age the parity
     /// cells alongside the data cells (parity is rewritten on every
-    /// weight write). A no-repair policy returns the plan unchanged.
+    /// weight write). The NPU's 8-bit datapath grows to 13-bit SECDED
+    /// codewords. A no-repair policy returns the plan unchanged.
     ///
     /// # Panics
     ///
@@ -334,7 +424,7 @@ impl FlatWeightMemory {
         let Some(layout) = policy.layout(self.geometry.word_bits) else {
             return self;
         };
-        assert!(self.ecc.is_none(), "FlatWeightMemory: ECC applied twice");
+        assert!(self.ecc.is_none(), "{}: ECC applied twice", self.label);
         self.geometry.word_bits = layout.width();
         self.ecc = Some(layout);
         self
@@ -354,57 +444,29 @@ impl FlatWeightMemory {
 
     /// The physical address of canonical weight `index` of layer
     /// `layer` (the inverse of the [`BlockSource::word`] dataflow
-    /// mapping): the block that writes it and the word it lands on.
-    /// Always well-defined — every real weight occupies exactly one
-    /// (block, word) slot; padded lanes have no canonical index.
+    /// mapping): the block that writes it and the word it lands on, or
+    /// `None` when another unit holds it. Always `Some` on the flat
+    /// memory; exactly one of the four FIFO slots returns `Some` for
+    /// every weight.
     ///
     /// # Panics
     ///
     /// Panics if `layer` or `index` is out of range.
-    pub fn locate_weight(&self, layer: usize, index: u64) -> WeightAddress {
+    pub fn locate_weight(&self, layer: usize, index: u64) -> Option<WeightAddress> {
         let plan = &self.layers[layer];
         assert!(
             index < plan.filters * plan.weights_per_filter,
             "locate_weight: index {index} out of range for layer {layer}"
         );
-        let f = self.parallel_filters;
-        let filter = index / plan.weights_per_filter;
-        let weight_index = index % plan.weights_per_filter;
-        let set = filter / f;
-        let in_set = weight_index * f + filter % f;
-        let pos = plan.stream_offset + set * (f * plan.weights_per_filter) + in_set;
-        WeightAddress {
-            block: pos / self.geometry.words as u64,
-            word: (pos % self.geometry.words as u64) as usize,
-        }
+        self.layout.locate(&self.layers, layer, index)
     }
 
-    /// Length of the dataflow-ordered weight stream (including padded
-    /// lanes of ragged final filter sets).
-    pub fn stream_len(&self) -> u64 {
-        self.stream_len
-    }
-
-    /// Switches from the paper's equal-residency assumption (b) to
-    /// compute-weighted residency: each memory fill stays resident for
-    /// a time proportional to the MAC work of the weights it holds
-    /// (conv fills are reused across output positions and stay resident
-    /// far longer than FC fills). `spec` must be the same network the
-    /// plan was built from. Honoured by [`crate::simulate_exact`]; the
-    /// analytic simulator rejects non-uniform dwell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec` has a different layer structure than the plan.
-    pub fn with_compute_weighted_residency(self, spec: &NetworkSpec) -> Self {
-        let weights = self.layer_proportional_weights(spec);
-        self.with_dwell_weights(weights)
-    }
-
-    /// Per-block residency weights proportional to MAC work: each block
-    /// weighs the per-word MAC count of the layers it spans (the
-    /// [`FlatWeightMemory::with_compute_weighted_residency`] model,
-    /// exposed so callers can inspect or post-process the weights).
+    /// Per-block residency weights proportional to MAC work — the
+    /// compute-weighted alternative to the paper's equal-residency
+    /// assumption (b): each stream word dwells for its layer's MACs per
+    /// stream word (conv weights are reused across output positions and
+    /// stay resident far longer than FC weights), and a block sums its
+    /// words. Feed the result to [`WeightPlan::with_dwell_weights`].
     ///
     /// # Panics
     ///
@@ -415,21 +477,22 @@ impl FlatWeightMemory {
             self.layers.len(),
             "layer_proportional_weights: spec mismatch"
         );
-        // MACs per stream word, by layer.
         let per_word: Vec<f64> = spec
             .layers()
             .iter()
-            .zip(&self.layers)
-            .map(|(ls, plan)| ls.macs() as f64 / plan.stream_len as f64)
+            .enumerate()
+            .map(|(li, ls)| ls.macs() as f64 / self.layout.layer_span(li) as f64)
             .collect();
-        self.per_word_factor_weights(&per_word)
+        self.per_layer_dwell_weights(&per_word)
     }
 
     /// Per-block residency weights from arbitrary per-layer factors:
     /// `factors[li]` is the relative time the memory dwells on one word
     /// of layer `li`, and a block's weight sums the factors of the
-    /// stream words it holds. This is how custom dwell models are
-    /// constructed from a [`NetworkSpec`]'s layer structure.
+    /// stream words it holds (a FIFO tile is wholly owned by one layer,
+    /// so its weight is `TILE_SIDE²` times that layer's factor). This
+    /// is how custom dwell models are constructed from a
+    /// [`NetworkSpec`]'s layer structure.
     ///
     /// # Panics
     ///
@@ -442,26 +505,40 @@ impl FlatWeightMemory {
             factors.len(),
             self.layers.len()
         );
-        self.per_word_factor_weights(factors)
+        (0..self.layout.block_count())
+            .map(|block| {
+                let mut work = 0.0f64;
+                for (li, factor) in factors.iter().enumerate() {
+                    let words = self.layout.layer_words(block, li);
+                    if words > 0 {
+                        work += words as f64 * factor;
+                    }
+                }
+                work
+            })
+            .collect()
     }
 
-    fn per_word_factor_weights(&self, per_word: &[f64]) -> Vec<f64> {
-        let words = self.geometry.words as u64;
-        let mut weights = Vec::with_capacity(self.total_blocks as usize);
-        for k in 0..self.total_blocks {
-            let lo = k * words;
-            let hi = ((k + 1) * words).min(self.stream_len);
-            let mut work = 0.0f64;
-            for (li, plan) in self.layers.iter().enumerate() {
-                let seg_lo = lo.max(plan.stream_offset);
-                let seg_hi = hi.min(plan.stream_offset + plan.stream_len);
-                if seg_hi > seg_lo {
-                    work += (seg_hi - seg_lo) as f64 * per_word[li];
-                }
-            }
-            weights.push(work);
-        }
-        weights
+    /// Zipf-style hot-block residency by **global** stream order: block
+    /// `b` dwells for a time proportional to
+    /// `(global_block_index(0, b) + 1)^-exponent` — block order on the
+    /// flat memory, tile `slot + b·4` on a FIFO slot (slot-local indices
+    /// would give every slot's first tile full weight regardless of
+    /// where it sits in the stream). `exponent = 0` is uniform; larger
+    /// exponents concentrate residency on the first blocks of the stream
+    /// (the paper's early conv layers).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `exponent` is negative or non-finite.
+    pub fn zipf_dwell_weights(&self, exponent: f64) -> Vec<f64> {
+        assert!(
+            exponent.is_finite() && exponent >= 0.0,
+            "zipf_dwell_weights: bad exponent {exponent}"
+        );
+        (0..self.layout.block_count())
+            .map(|b| ((self.layout.global_block_index(0, b) + 1) as f64).powf(-exponent))
+            .collect()
     }
 
     /// Installs explicit per-block residency weights (one per block,
@@ -476,7 +553,7 @@ impl FlatWeightMemory {
     /// Panics if `weights.len() != self.block_count()`, or any weight
     /// is negative or non-finite, or all weights are zero.
     pub fn with_dwell_weights(mut self, weights: Vec<f64>) -> Self {
-        self.dwell_weights = Some(normalize_dwell(weights, self.total_blocks));
+        self.dwell_weights = Some(normalize_dwell(weights, self.layout.block_count()));
         self
     }
 }
@@ -501,63 +578,23 @@ fn normalize_dwell(mut weights: Vec<f64>, blocks: u64) -> Vec<f64> {
     weights
 }
 
-/// Zipf-style hot-block residency: block `b` (stream order) dwells for
-/// a time proportional to `(b + 1)^-exponent`. `exponent = 0` is
-/// uniform; larger exponents concentrate residency on the first blocks
-/// of the stream (the paper's early conv layers). Feed the result to
-/// [`FlatWeightMemory::with_dwell_weights`] /
-/// [`FifoSlotMemory::with_dwell_weights`].
-///
-/// # Panics
-///
-/// Panics if `blocks == 0` or `exponent` is negative or non-finite.
-pub fn zipf_weights(blocks: u64, exponent: f64) -> Vec<f64> {
-    assert!(blocks > 0, "zipf_weights: no blocks");
-    assert!(
-        exponent.is_finite() && exponent >= 0.0,
-        "zipf_weights: bad exponent {exponent}"
-    );
-    (0..blocks)
-        .map(|b| ((b + 1) as f64).powf(-exponent))
-        .collect()
-}
-
-impl BlockSource for FlatWeightMemory {
+impl<L: PlanLayout> BlockSource for WeightPlan<L> {
     fn geometry(&self) -> MemoryGeometry {
         self.geometry
     }
 
     fn block_count(&self) -> u64 {
-        self.total_blocks
+        self.layout.block_count()
     }
 
     fn word(&self, block: u64, word: usize) -> u64 {
-        assert!(block < self.total_blocks, "block out of range");
+        assert!(block < self.layout.block_count(), "block out of range");
         assert!(word < self.geometry.words, "word out of range");
-        let pos = block * self.geometry.words as u64 + word as u64;
-        if pos >= self.stream_len {
-            return 0; // tail of the final fill (codeword of 0 is 0)
-        }
-        // Locate the layer containing this stream position.
-        let idx = self
-            .layers
-            .partition_point(|l| l.stream_offset + l.stream_len <= pos);
-        let layer = &self.layers[idx];
-        let local = pos - layer.stream_offset;
-        let f = self.parallel_filters;
-        let set_len = f * layer.weights_per_filter;
-        let set = local / set_len;
-        let in_set = local % set_len;
-        // Interleaved rows: consecutive stream words cycle over the f
-        // filter lanes of the set.
-        let weight_index = in_set / f;
-        let filter_in_set = in_set % f;
-        let filter = set * f + filter_in_set;
-        if filter >= layer.filters {
-            return 0; // padded lane of a ragged final set
-        }
-        let canonical = filter * layer.weights_per_filter + weight_index;
-        let data = u64::from(layer.quantizer.encode(layer.source.weight(canonical)));
+        let Some((li, index)) = self.layout.weight_at(&self.layers, block, word as u64) else {
+            return 0; // padding (the codeword of 0 is 0)
+        };
+        let layer = &self.layers[li];
+        let data = u64::from(layer.quantizer.encode(layer.source.weight(index)));
         match &self.ecc {
             Some(layout) => layout.store(data),
             None => data,
@@ -565,413 +602,7 @@ impl BlockSource for FlatWeightMemory {
     }
 
     fn global_block_index(&self, inference: u64, block: u64) -> u64 {
-        inference * self.total_blocks + block
-    }
-
-    fn dwell(&self, block: u64) -> f64 {
-        self.dwell_weights
-            .as_ref()
-            .map_or(1.0, |w| w[block as usize])
-    }
-
-    fn label(&self) -> String {
-        self.label.clone()
-    }
-}
-
-/// Per-layer slice of the NPU tile plan.
-#[derive(Debug, Clone)]
-struct LayerTiles {
-    tile_offset: u64,
-    tiles: u64,
-    row_tiles: u64,
-    filters: u64,
-    weights_per_filter: u64,
-    source: WeightSource,
-    quantizer: Quantizer,
-}
-
-/// One slot of the TPU-like NPU's circular weight FIFO.
-///
-/// The FIFO is four tiles deep; the global tile stream (layer by layer,
-/// filter-set by filter-set, then row-chunks — the Fig. 5 order with
-/// `f = 256`) is written round-robin, so slot `s` holds tiles
-/// `s, s + 4, s + 8, …`. Each slot is simulated as its own 256 × 256 ×
-/// 8-bit memory unit; Fig. 11 histograms merge the four slots.
-///
-/// # Example
-///
-/// ```
-/// use dnnlife_accel::{BlockSource, FifoSlotMemory};
-/// use dnnlife_nn::NetworkSpec;
-/// use dnnlife_quant::NumberFormat;
-///
-/// let slots = FifoSlotMemory::all_slots(
-///     &NetworkSpec::custom_mnist(),
-///     NumberFormat::Int8Symmetric,
-///     42,
-/// );
-/// assert_eq!(slots.len(), 4);
-/// let total: u64 = slots.iter().map(|s| s.block_count()).sum();
-/// // The custom network spans 7 tiles (conv1:1, conv2:2, fc1:4... see tests).
-/// assert!(total >= 7);
-/// ```
-#[derive(Debug, Clone)]
-pub struct FifoSlotMemory {
-    slot: u64,
-    depth: u64,
-    tile_side: u64,
-    layers: Vec<LayerTiles>,
-    total_tiles: u64,
-    local_blocks: u64,
-    label: String,
-    /// Optional per-block relative residency (mean 1.0).
-    dwell_weights: Option<Vec<f64>>,
-    /// Optional SECDED layout: stored words carry parity columns.
-    ecc: Option<EccLayout>,
-}
-
-impl FifoSlotMemory {
-    /// FIFO depth in tiles (Table I: "four tiles deep").
-    pub const DEPTH: u64 = 4;
-    /// Tile side in weights (256 × 256 PE array).
-    pub const TILE_SIDE: u64 = 256;
-
-    /// Plans slot `slot` (0..4) of the FIFO for `spec`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot >= 4` or `format` is not 8-bit (the NPU datapath
-    /// is 8-bit per Table I).
-    pub fn new(slot: u64, spec: &NetworkSpec, format: NumberFormat, seed: u64) -> Self {
-        let sources = spec
-            .layers()
-            .iter()
-            .enumerate()
-            .map(|(li, _)| WeightSource::Gen(LayerWeightGen::new(spec, li, seed)))
-            .collect();
-        Self::with_sources(slot, spec, format, sources)
-    }
-
-    /// Plans slot `slot` with weights read from explicit per-layer
-    /// tables — see [`FlatWeightMemory::with_weight_tables`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot >= 4`, `format` is not 8-bit, or the tables
-    /// disagree with `spec`.
-    pub fn with_weight_tables(
-        slot: u64,
-        spec: &NetworkSpec,
-        format: NumberFormat,
-        tables: &[Vec<f32>],
-    ) -> Self {
-        Self::with_sources(slot, spec, format, table_sources(spec, tables))
-    }
-
-    fn with_sources(
-        slot: u64,
-        spec: &NetworkSpec,
-        format: NumberFormat,
-        sources: Vec<WeightSource>,
-    ) -> Self {
-        let (layers, total_tiles) = Self::plan_layers(spec, format, sources);
-        Self::from_plan(slot, spec, format, layers, total_tiles)
-    }
-
-    /// The slot-independent part of the plan: tile layout and quantizer
-    /// calibration per layer. Calibration sweeps up to [`RANGE_CAP`]
-    /// weights per layer, so `all_slots` computes this once and shares
-    /// it across the four slots instead of re-sweeping per slot.
-    fn plan_layers(
-        spec: &NetworkSpec,
-        format: NumberFormat,
-        sources: Vec<WeightSource>,
-    ) -> (Vec<LayerTiles>, u64) {
-        assert_eq!(
-            format.bits(),
-            8,
-            "FifoSlotMemory: the NPU weight FIFO stores 8-bit weights"
-        );
-        let side = Self::TILE_SIDE;
-        let mut layers = Vec::with_capacity(spec.layers().len());
-        let mut offset = 0u64;
-        for (layer, source) in spec.layers().iter().zip(sources) {
-            let filters = layer.filter_count();
-            let wpf = layer.weights_per_filter();
-            let col_tiles = filters.div_ceil(side);
-            let row_tiles = wpf.div_ceil(side);
-            let quantizer = Quantizer::calibrate(format, &source.range(RANGE_CAP));
-            layers.push(LayerTiles {
-                tile_offset: offset,
-                tiles: col_tiles * row_tiles,
-                row_tiles,
-                filters,
-                weights_per_filter: wpf,
-                source,
-                quantizer,
-            });
-            offset += col_tiles * row_tiles;
-        }
-        (layers, offset)
-    }
-
-    fn from_plan(
-        slot: u64,
-        spec: &NetworkSpec,
-        format: NumberFormat,
-        layers: Vec<LayerTiles>,
-        offset: u64,
-    ) -> Self {
-        assert!(
-            slot < Self::DEPTH,
-            "FifoSlotMemory: slot {slot} out of range"
-        );
-        let local_blocks = if offset > slot {
-            (offset - slot).div_ceil(Self::DEPTH)
-        } else {
-            0
-        };
-        Self {
-            slot,
-            depth: Self::DEPTH,
-            tile_side: Self::TILE_SIDE,
-            layers,
-            total_tiles: offset,
-            local_blocks,
-            label: format!("tpu-like-npu/{}/{}/slot{}", spec.name(), format, slot),
-            dwell_weights: None,
-            ecc: None,
-        }
-    }
-
-    /// Wraps the stored words in `policy`'s error-correcting code —
-    /// see [`FlatWeightMemory::with_repair`]. The NPU's 8-bit datapath
-    /// grows to 13-bit SECDED codewords per word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if ECC was already applied, or the policy is invalid for
-    /// 8-bit words.
-    pub fn with_repair(mut self, policy: &RepairPolicy) -> Self {
-        let Some(layout) = policy.layout(8) else {
-            return self;
-        };
-        assert!(self.ecc.is_none(), "FifoSlotMemory: ECC applied twice");
-        self.ecc = Some(layout);
-        self
-    }
-
-    /// All four slots of the FIFO. The per-layer plan (tile layout and
-    /// quantizer calibration) is slot-independent, so it is computed
-    /// once and shared — building all four slots costs one calibration
-    /// sweep, not four.
-    pub fn all_slots(spec: &NetworkSpec, format: NumberFormat, seed: u64) -> Vec<Self> {
-        let sources = spec
-            .layers()
-            .iter()
-            .enumerate()
-            .map(|(li, _)| WeightSource::Gen(LayerWeightGen::new(spec, li, seed)))
-            .collect();
-        let (layers, total_tiles) = Self::plan_layers(spec, format, sources);
-        (0..Self::DEPTH)
-            .map(|s| Self::from_plan(s, spec, format, layers.clone(), total_tiles))
-            .collect()
-    }
-
-    /// All four slots with explicit per-layer weight tables — see
-    /// [`FlatWeightMemory::with_weight_tables`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `format` is not 8-bit or the tables disagree with
-    /// `spec`.
-    pub fn all_slots_with_weight_tables(
-        spec: &NetworkSpec,
-        format: NumberFormat,
-        tables: &[Vec<f32>],
-    ) -> Vec<Self> {
-        // One validation + one allocation per layer, one calibration
-        // sweep; the four slots share the table handles and the plan.
-        let shared = shared_tables(spec, tables);
-        let (layers, total_tiles) = Self::plan_layers(spec, format, sources_from_shared(&shared));
-        (0..Self::DEPTH)
-            .map(|s| Self::from_plan(s, spec, format, layers.clone(), total_tiles))
-            .collect()
-    }
-
-    /// The calibrated quantizer of layer `layer` — see
-    /// [`FlatWeightMemory::layer_quantizer`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` is out of range.
-    pub fn layer_quantizer(&self, layer: usize) -> Quantizer {
-        self.layers[layer].quantizer
-    }
-
-    /// The physical address of canonical weight `index` of layer
-    /// `layer` *if its tile round-robins into this slot* — `None` when
-    /// another slot holds it (exactly one of the four slots returns
-    /// `Some` for every weight).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` or `index` is out of range.
-    pub fn locate_weight(&self, layer: usize, index: u64) -> Option<WeightAddress> {
-        let plan = &self.layers[layer];
-        assert!(
-            index < plan.filters * plan.weights_per_filter,
-            "locate_weight: index {index} out of range for layer {layer}"
-        );
-        let side = self.tile_side;
-        let filter = index / plan.weights_per_filter;
-        let weight_index = index % plan.weights_per_filter;
-        let col_tile = filter / side;
-        let row_tile = weight_index / side;
-        let tile = plan.tile_offset + col_tile * plan.row_tiles + row_tile;
-        if tile % self.depth != self.slot {
-            return None;
-        }
-        Some(WeightAddress {
-            block: (tile - self.slot) / self.depth,
-            word: ((weight_index % side) * side + filter % side) as usize,
-        })
-    }
-
-    /// Total tiles streamed per inference (across all slots).
-    pub fn total_tiles(&self) -> u64 {
-        self.total_tiles
-    }
-
-    /// The layer index owning tile number `tile` of the global stream.
-    fn layer_of_tile(&self, tile: u64) -> usize {
-        self.layers
-            .iter()
-            .position(|l| tile < l.tile_offset + l.tiles)
-            .expect("tile within plan")
-    }
-
-    /// Per-block residency weights proportional to MAC work, mirroring
-    /// [`FlatWeightMemory::layer_proportional_weights`]: a tile dwells
-    /// for the per-word MAC count of its layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec` has a different layer structure than the plan.
-    pub fn layer_proportional_weights(&self, spec: &NetworkSpec) -> Vec<f64> {
-        assert_eq!(
-            spec.layers().len(),
-            self.layers.len(),
-            "layer_proportional_weights: spec mismatch"
-        );
-        let words_per_tile = (self.tile_side * self.tile_side) as f64;
-        let factors: Vec<f64> = spec
-            .layers()
-            .iter()
-            .zip(&self.layers)
-            .map(|(ls, plan)| ls.macs() as f64 / (plan.tiles as f64 * words_per_tile))
-            .collect();
-        self.per_layer_dwell_weights(&factors)
-    }
-
-    /// Zipf residency by **global** tile stream order: local block `b`
-    /// of this slot is global tile `slot + b·depth`, so its weight is
-    /// `(slot + b·depth + 1)^-exponent` — matching what
-    /// [`zipf_weights`] assigns the same tiles on a flat memory. Using
-    /// slot-local indices instead would give every slot's first tile
-    /// full weight regardless of where it sits in the stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `exponent` is negative or non-finite.
-    pub fn zipf_dwell_weights(&self, exponent: f64) -> Vec<f64> {
-        assert!(
-            exponent.is_finite() && exponent >= 0.0,
-            "zipf_dwell_weights: bad exponent {exponent}"
-        );
-        (0..self.local_blocks)
-            .map(|b| ((self.slot + b * self.depth + 1) as f64).powf(-exponent))
-            .collect()
-    }
-
-    /// Per-block residency weights from per-layer factors (`factors[li]`
-    /// = relative dwell per word of layer `li`; a tile is wholly owned
-    /// by one layer, so its weight is that layer's factor).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factors.len()` differs from the plan's layer count.
-    pub fn per_layer_dwell_weights(&self, factors: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            factors.len(),
-            self.layers.len(),
-            "per_layer_dwell_weights: {} factors for {} layers",
-            factors.len(),
-            self.layers.len()
-        );
-        (0..self.local_blocks)
-            .map(|b| factors[self.layer_of_tile(self.slot + b * self.depth)])
-            .collect()
-    }
-
-    /// Installs explicit per-block residency weights (see
-    /// [`FlatWeightMemory::with_dwell_weights`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights.len() != self.block_count()` or any weight is
-    /// negative or non-finite, or all weights are zero.
-    pub fn with_dwell_weights(mut self, weights: Vec<f64>) -> Self {
-        self.dwell_weights = Some(normalize_dwell(weights, self.local_blocks));
-        self
-    }
-}
-
-impl BlockSource for FifoSlotMemory {
-    fn geometry(&self) -> MemoryGeometry {
-        MemoryGeometry {
-            word_bits: self.ecc.as_ref().map_or(8, EccLayout::width),
-            words: (self.tile_side * self.tile_side) as usize,
-        }
-    }
-
-    fn block_count(&self) -> u64 {
-        self.local_blocks
-    }
-
-    fn word(&self, block: u64, word: usize) -> u64 {
-        assert!(block < self.local_blocks, "block out of range");
-        let tile = self.slot + block * self.depth;
-        let layer = self
-            .layers
-            .iter()
-            .find(|l| tile < l.tile_offset + l.tiles)
-            .expect("tile within plan");
-        let local = tile - layer.tile_offset;
-        let col_tile = local / layer.row_tiles; // filter-set index
-        let row_tile = local % layer.row_tiles; // chunk index
-        let side = self.tile_side;
-        let row = word as u64 / side; // weight-in-chunk
-        let col = word as u64 % side; // filter-in-set
-        let filter = col_tile * side + col;
-        if filter >= layer.filters {
-            return 0;
-        }
-        let weight_index = row_tile * side + row;
-        if weight_index >= layer.weights_per_filter {
-            return 0;
-        }
-        let canonical = filter * layer.weights_per_filter + weight_index;
-        let data = u64::from(layer.quantizer.encode(layer.source.weight(canonical)));
-        match &self.ecc {
-            Some(layout) => layout.store(data),
-            None => data,
-        }
-    }
-
-    fn global_block_index(&self, inference: u64, block: u64) -> u64 {
-        inference * self.total_tiles + self.slot + block * self.depth
+        self.layout.global_block_index(inference, block)
     }
 
     fn dwell(&self, block: u64) -> f64 {
@@ -1187,8 +818,9 @@ mod tests {
             &spec,
             NumberFormat::Int8Symmetric,
             1,
-        )
-        .with_compute_weighted_residency(&spec);
+        );
+        let weights = mem.layer_proportional_weights(&spec);
+        let mem = mem.with_dwell_weights(weights);
         // Mean dwell is 1.0 by construction.
         let k = mem.block_count();
         let mean: f64 = (0..k).map(|b| mem.dwell(b)).sum::<f64>() / k as f64;
@@ -1217,9 +849,19 @@ mod tests {
 
     #[test]
     fn zipf_weights_decay_and_zero_exponent_is_uniform() {
-        let flat = zipf_weights(5, 0.0);
+        let mut cfg = AcceleratorConfig::baseline();
+        cfg.weight_memory_bytes = 2048;
+        let mem = FlatWeightMemory::new(
+            &cfg,
+            &NetworkSpec::custom_mnist(),
+            NumberFormat::Int8Symmetric,
+            3,
+        );
+        let flat = mem.zipf_dwell_weights(0.0);
+        assert_eq!(flat.len() as u64, mem.block_count());
         assert!(flat.iter().all(|w| (w - 1.0).abs() < 1e-12));
-        let hot = zipf_weights(5, 1.0);
+        // On the flat memory the global block index is the block index.
+        let hot = mem.zipf_dwell_weights(1.0);
         for pair in hot.windows(2) {
             assert!(pair[0] > pair[1], "zipf weights must decay: {hot:?}");
         }
@@ -1237,7 +879,8 @@ mod tests {
             3,
         );
         let k = mem.block_count();
-        let mem = mem.with_dwell_weights(zipf_weights(k, 1.3));
+        let weights = mem.zipf_dwell_weights(1.3);
+        let mem = mem.with_dwell_weights(weights);
         let mean: f64 = (0..k).map(|b| mem.dwell(b)).sum::<f64>() / k as f64;
         assert!((mean - 1.0).abs() < 1e-9, "mean dwell {mean}");
         assert!(mem.dwell(0) > mem.dwell(k - 1));
@@ -1267,9 +910,16 @@ mod tests {
         let spec = NetworkSpec::custom_mnist();
         let slots = FifoSlotMemory::all_slots(&spec, NumberFormat::Int8Symmetric, 1);
         // 8 tiles: conv1 (1), conv2 (2), fc1 (4), fc2 (1). Slot 0 holds
-        // tiles 0 (conv1) and 4 (fc1).
+        // tiles 0 (conv1) and 4 (fc1); each sums its 256² words.
         let raw = slots[0].per_layer_dwell_weights(&[8.0, 4.0, 2.0, 1.0]);
-        assert_eq!(raw, vec![8.0, 2.0]);
+        assert_eq!(raw, vec![8.0 * 65_536.0, 2.0 * 65_536.0]);
+        // The power-of-two word count cancels bit for bit on
+        // normalisation: the dwell equals that of the bare factors.
+        let words = slots[0].clone().with_dwell_weights(raw);
+        let factors = slots[0].clone().with_dwell_weights(vec![8.0, 2.0]);
+        for b in 0..2 {
+            assert_eq!(words.dwell(b).to_bits(), factors.dwell(b).to_bits());
+        }
         // Layer-proportional: conv1 is reused across 576 output
         // positions, fc1 only once per inference, so the conv tile
         // dwells far longer.
@@ -1297,10 +947,10 @@ mod tests {
         assert!((w[0] - 0.5).abs() < 1e-12, "global tile 1: {}", w[0]);
         assert!((w[1] - 1.0 / 6.0).abs() < 1e-12, "global tile 5: {}", w[1]);
         // Consistency with the flat-memory convention: slot 0's first
-        // tile is global tile 0 and gets the same weight zipf_weights
-        // assigns stream position 0.
+        // tile is global tile 0 and gets the weight a flat memory
+        // assigns its first block.
         let w0 = slots[0].zipf_dwell_weights(1.0);
-        assert_eq!(w0[0], zipf_weights(8, 1.0)[0]);
+        assert_eq!(w0[0], 1.0);
     }
 
     #[test]
@@ -1318,12 +968,9 @@ mod tests {
 
     #[test]
     fn npu_global_index_is_round_robin() {
-        let slot2 = FifoSlotMemory::new(
-            2,
-            &NetworkSpec::custom_mnist(),
-            NumberFormat::Int8Symmetric,
-            1,
-        );
+        let slots =
+            FifoSlotMemory::all_slots(&NetworkSpec::custom_mnist(), NumberFormat::Int8Symmetric, 1);
+        let slot2 = &slots[2];
         assert_eq!(slot2.global_block_index(0, 0), 2);
         assert_eq!(slot2.global_block_index(0, 1), 6);
         // Second inference continues the global tile count (8 tiles/inf).
@@ -1333,7 +980,7 @@ mod tests {
     #[test]
     fn npu_rejects_fp32() {
         let result = std::panic::catch_unwind(|| {
-            FifoSlotMemory::new(0, &NetworkSpec::custom_mnist(), NumberFormat::Fp32, 1)
+            FifoSlotMemory::all_slots(&NetworkSpec::custom_mnist(), NumberFormat::Fp32, 1)
         });
         assert!(result.is_err());
     }
@@ -1384,7 +1031,9 @@ mod tests {
             NumberFormat::Int8Symmetric,
             &tables,
         );
-        let addr = mem.locate_weight(0, 0);
+        let addr = mem
+            .locate_weight(0, 0)
+            .expect("the flat memory holds every weight");
         let code = mem.word(addr.block, addr.word);
         // The outlier dominates the symmetric range, so it encodes to
         // the top code.
@@ -1419,7 +1068,9 @@ mod tests {
             let quantizer = mem.layer_quantizer(li);
             let count = layer.weight_count();
             for index in [0, 1, count / 2, count - 1] {
-                let addr = mem.locate_weight(li, index);
+                let addr = mem
+                    .locate_weight(li, index)
+                    .expect("the flat memory holds every weight");
                 assert_eq!(
                     mem.word(addr.block, addr.word),
                     u64::from(quantizer.encode(gen.weight(index))),

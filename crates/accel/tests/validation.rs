@@ -239,8 +239,9 @@ fn compute_weighted_residency_ablation() {
     let mut cfg = AcceleratorConfig::baseline();
     cfg.weight_memory_bytes = 2048;
     let equal = FlatWeightMemory::new(&cfg, &spec, NumberFormat::Int8Symmetric, 11);
-    let weighted = FlatWeightMemory::new(&cfg, &spec, NumberFormat::Int8Symmetric, 11)
-        .with_compute_weighted_residency(&spec);
+    let weighted = equal
+        .clone()
+        .with_dwell_weights(equal.layer_proportional_weights(&spec));
 
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
 
@@ -276,8 +277,10 @@ fn analytic_rejects_weighted_residency() {
     let spec = NetworkSpec::custom_mnist();
     let mut cfg = AcceleratorConfig::baseline();
     cfg.weight_memory_bytes = 2048;
-    let weighted = FlatWeightMemory::new(&cfg, &spec, NumberFormat::Int8Symmetric, 11)
-        .with_compute_weighted_residency(&spec);
+    let plain = FlatWeightMemory::new(&cfg, &spec, NumberFormat::Int8Symmetric, 11);
+    let weighted = plain
+        .clone()
+        .with_dwell_weights(plain.layer_proportional_weights(&spec));
     let result = std::panic::catch_unwind(|| {
         simulate_analytic(&weighted, &AnalyticPolicy::Passthrough, &analytic_cfg(2))
     });

@@ -43,12 +43,12 @@ fn decode_stream(code: &SecdedCode) -> u64 {
 }
 
 fn duty_sim(repair: &RepairPolicy) -> f64 {
-    let slot = FifoSlotMemory::new(
-        0,
+    let slot = FifoSlotMemory::all_slots(
         &NetworkSpec::custom_mnist(),
         NumberFormat::Int8Symmetric,
         42,
     )
+    .swap_remove(0)
     .with_repair(repair);
     let duties = simulate_analytic(
         &slot,

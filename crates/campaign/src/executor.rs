@@ -16,7 +16,7 @@
 //! scenario no longer monopolizes a single core while the rest of the
 //! pool waits.
 //!
-//! The pool itself ([`execute_shared_pool`]) is generic over the work
+//! The pool itself (`execute_shared_pool`) is generic over the work
 //! item: the scenario sweep, the cross-validation fan-out and the
 //! fault-injection campaign all run on it, so every subsystem shares
 //! the same budget arithmetic and the same cancellation story.
@@ -357,7 +357,10 @@ where
             },
             |_, record| {
                 let label = label(&record);
-                if let Err(e) = store.append(record) {
+                let span = telemetry.span_start("journal_append", campaign_span);
+                let appended = store.append(record);
+                telemetry.span_end(span);
+                if let Err(e) = appended {
                     journal_error = Some(e);
                     return false;
                 }

@@ -223,7 +223,10 @@ impl Trace {
 
     /// The critical path of each `campaign:*` root: from the root,
     /// repeatedly descend into the child that finished last, collecting
-    /// `(label, duration_us)` hops.
+    /// `(label, duration_us)` hops. A child shorter than 1% of its
+    /// longest sibling is bookkeeping, not where the parent's time went
+    /// (the `journal_append` after the last scenario finishes after
+    /// it), so it never takes a hop.
     pub fn critical_paths(&self) -> Vec<(String, Vec<(String, u64)>)> {
         let mut paths = Vec::new();
         for root in self.roots() {
@@ -233,10 +236,10 @@ impl Trace {
             let mut path = vec![(root.label.clone(), root.duration_us())];
             let mut cursor = root.id;
             loop {
-                let last_child = self
-                    .spans
-                    .iter()
-                    .filter(|s| s.parent == Some(cursor))
+                let children = || self.spans.iter().filter(move |s| s.parent == Some(cursor));
+                let longest = children().map(TraceSpan::duration_us).max().unwrap_or(0);
+                let last_child = children()
+                    .filter(|s| s.duration_us() * 100 >= longest)
                     .max_by_key(|s| s.end_us.unwrap_or(s.start_us));
                 match last_child {
                     Some(child) => {
@@ -433,6 +436,28 @@ mod tests {
         // Scenario 9005 ends last (5000us) → the path descends there.
         assert_eq!(labels, ["campaign:fig9", "scenario"]);
         assert_eq!(path[1].1, 2_200);
+    }
+
+    #[test]
+    fn critical_path_skips_a_trailing_journal_append() {
+        // The store append after the last scenario finishes last, but
+        // the path still descends into the scenario it journals.
+        let text = [
+            r#"{"ev":"span_start","v":1,"span":1,"label":"campaign:fig9","t_us":0}"#,
+            r#"{"ev":"span_start","v":1,"span":2,"parent":1,"label":"scenario","t_us":10}"#,
+            r#"{"ev":"span_start","v":1,"span":3,"parent":2,"label":"exact_shard","t_us":20}"#,
+            r#"{"ev":"span_end","v":1,"span":3,"t_us":9000}"#,
+            r#"{"ev":"span_start","v":1,"span":4,"parent":2,"label":"aggregate","t_us":9000}"#,
+            r#"{"ev":"span_end","v":1,"span":4,"t_us":9010}"#,
+            r#"{"ev":"span_end","v":1,"span":2,"t_us":9020}"#,
+            r#"{"ev":"span_start","v":1,"span":5,"parent":1,"label":"journal_append","t_us":9030}"#,
+            r#"{"ev":"span_end","v":1,"span":5,"t_us":9040}"#,
+            r#"{"ev":"span_end","v":1,"span":1,"t_us":9050}"#,
+        ]
+        .join("\n");
+        let paths = reconstruct(&text).critical_paths();
+        let labels: Vec<&str> = paths[0].1.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(labels, ["campaign:fig9", "scenario", "exact_shard"]);
     }
 
     #[test]

@@ -475,10 +475,21 @@ fn sweep_journal_reconstructs_a_complete_span_forest() {
     // Plan build (quantizer calibration included) is its own span,
     // once under every scenario.
     assert_eq!(count("plan_build"), grid.len(), "labels: {labels:?}");
-    for span in forest.spans.iter().filter(|s| s.label == "plan_build") {
-        let parent = span.parent.expect("plan_build is nested");
+    // So are the duty→degradation aggregation (under its scenario) and
+    // each store append (under the campaign root).
+    assert_eq!(count("aggregate"), grid.len(), "labels: {labels:?}");
+    assert_eq!(count("journal_append"), grid.len(), "labels: {labels:?}");
+    let parent_label = |span: &trace::TraceSpan| {
+        let parent = span.parent.expect("stage spans are nested");
         let parent = forest.spans.iter().find(|s| s.id == parent);
-        assert_eq!(parent.map(|s| s.label.as_str()), Some("scenario"));
+        parent.map(|s| s.label.as_str()).unwrap_or("?").to_string()
+    };
+    for span in &forest.spans {
+        match span.label.as_str() {
+            "plan_build" | "aggregate" => assert_eq!(parent_label(span), "scenario"),
+            "journal_append" => assert!(parent_label(span).starts_with("campaign:")),
+            _ => {}
+        }
     }
 
     // The flame table and critical path render from the same forest.
@@ -487,7 +498,7 @@ fn sweep_journal_reconstructs_a_complete_span_forest() {
     assert!(text.contains("Critical path: campaign:"), "{text}");
     let paths = forest.critical_paths();
     assert_eq!(paths.len(), 1);
-    assert!(paths[0].1.len() >= 2, "path descends into scenarios");
+    assert_eq!(paths[0].1[1].0, "scenario", "path descends into scenarios");
 }
 
 /// `validate` joins the span tree: each matched pair runs under its own

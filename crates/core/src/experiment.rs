@@ -12,9 +12,9 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use dnnlife_accel::{
-    simulate_analytic_telemetry, simulate_exact_sharded, zipf_weights, AcceleratorConfig,
-    AnalyticPolicy, AnalyticSimConfig, BlockSource, ExactShardConfig, FifoSlotMemory,
-    FlatWeightMemory, RemappedMemory,
+    simulate_analytic_telemetry, simulate_exact_sharded, AcceleratorConfig, AnalyticPolicy,
+    AnalyticSimConfig, BlockSource, ExactShardConfig, FifoSlotMemory, FlatWeightMemory, PlanLayout,
+    RemappedMemory, WeightPlan,
 };
 use dnnlife_mitigation::{
     AgingController, BarrelShifter, DnnLife, Passthrough, PeriodicInversion, PseudoTrbg,
@@ -756,85 +756,52 @@ fn build_transducer(
     }
 }
 
-/// Runs `simulate` on `mem`, first installing the wear-leveling row
-/// rotation as a plan wrapper when the policy asks for it — the single
-/// point where [`PolicySpec::WearLevel`] becomes a [`RemappedMemory`].
-fn simulate_planned<S, F>(
-    mem: S,
-    policy: &PolicySpec,
-    row_words: usize,
-    unit: u64,
-    simulate: F,
-) -> Option<Vec<f64>>
-where
-    S: BlockSource,
-    F: Fn(&dyn BlockSource, u64) -> Option<Vec<f64>>,
-{
-    match *policy {
-        PolicySpec::WearLevel { epochs } => {
-            simulate(&RemappedMemory::new(mem, row_words, epochs), unit)
-        }
-        _ => simulate(&mem, unit),
-    }
-}
-
-/// The dwell-weight constructors both memory plans expose, so
-/// [`with_dwell`] dispatches a [`DwellModel`] once for both platforms
-/// (a new model variant is then handled in exactly one place).
-trait DwellTarget: BlockSource + Sized {
-    fn layer_weights(&self, network: &dnnlife_nn::NetworkSpec) -> Vec<f64>;
-    fn per_layer_weights(&self, factors: &[f64]) -> Vec<f64>;
-    /// Zipf weights by the unit's position in the *global* block
-    /// stream (for the flat memory, block order is stream order; FIFO
-    /// slots hold every fourth tile, so their local indices must be
-    /// mapped back to global ones).
-    fn zipf_stream_weights(&self, exponent: f64) -> Vec<f64>;
-    fn apply_weights(self, weights: Vec<f64>) -> Self;
-}
-
-impl DwellTarget for FlatWeightMemory {
-    fn layer_weights(&self, network: &dnnlife_nn::NetworkSpec) -> Vec<f64> {
-        self.layer_proportional_weights(network)
-    }
-    fn per_layer_weights(&self, factors: &[f64]) -> Vec<f64> {
-        self.per_layer_dwell_weights(factors)
-    }
-    fn zipf_stream_weights(&self, exponent: f64) -> Vec<f64> {
-        zipf_weights(self.block_count(), exponent)
-    }
-    fn apply_weights(self, weights: Vec<f64>) -> Self {
-        self.with_dwell_weights(weights)
-    }
-}
-
-impl DwellTarget for FifoSlotMemory {
-    fn layer_weights(&self, network: &dnnlife_nn::NetworkSpec) -> Vec<f64> {
-        self.layer_proportional_weights(network)
-    }
-    fn per_layer_weights(&self, factors: &[f64]) -> Vec<f64> {
-        self.per_layer_dwell_weights(factors)
-    }
-    fn zipf_stream_weights(&self, exponent: f64) -> Vec<f64> {
-        self.zipf_dwell_weights(exponent)
-    }
-    fn apply_weights(self, weights: Vec<f64>) -> Self {
-        self.with_dwell_weights(weights)
-    }
-}
-
-/// Applies a dwell model to one memory unit (no-op for empty units —
-/// an unused NPU FIFO slot has no blocks to weight).
-fn with_dwell<T: DwellTarget>(mem: T, dwell: &DwellModel, network: &dnnlife_nn::NetworkSpec) -> T {
-    if mem.block_count() == 0 {
-        return mem;
-    }
+/// A memory unit's plan under `dwell` (uniform leaves it unchanged).
+fn with_dwell<L: PlanLayout>(
+    mem: WeightPlan<L>,
+    dwell: &DwellModel,
+    network: &dnnlife_nn::NetworkSpec,
+) -> WeightPlan<L> {
     let weights = match dwell {
         DwellModel::Uniform => return mem,
-        DwellModel::LayerProportional => mem.layer_weights(network),
-        DwellModel::Zipf { exponent } => mem.zipf_stream_weights(*exponent),
-        DwellModel::Custom { factors } => mem.per_layer_weights(factors),
+        DwellModel::LayerProportional => mem.layer_proportional_weights(network),
+        DwellModel::Zipf { exponent } => mem.zipf_dwell_weights(*exponent),
+        DwellModel::Custom { factors } => mem.per_layer_dwell_weights(factors),
     };
-    mem.apply_weights(weights)
+    mem.with_dwell_weights(weights)
+}
+
+/// Runs `simulate` on every non-empty unit of `plans` (an unused NPU
+/// FIFO slot has no blocks) after applying the spec's repair policy and
+/// `dwell`, numbering units by their position; returns the per-unit
+/// duties and the blocks written per inference across all units. The
+/// wear-leveling row rotation is installed here as a plan wrapper — the
+/// single point where [`PolicySpec::WearLevel`] becomes a
+/// [`RemappedMemory`].
+fn simulate_plans<L: PlanLayout>(
+    plans: Vec<WeightPlan<L>>,
+    spec: &ExperimentSpec,
+    dwell: &DwellModel,
+    network: &dnnlife_nn::NetworkSpec,
+    simulate: impl Fn(&dyn BlockSource, u64) -> Option<Vec<f64>>,
+) -> Option<(Vec<Vec<f64>>, u64)> {
+    let blocks = plans.iter().map(BlockSource::block_count).sum();
+    let mut units = Vec::with_capacity(plans.len());
+    for (unit, mem) in plans.into_iter().enumerate() {
+        if mem.block_count() == 0 {
+            continue;
+        }
+        let mem = with_dwell(mem.with_repair(&spec.repair), dwell, network);
+        let unit = unit as u64;
+        units.push(match spec.policy {
+            PolicySpec::WearLevel { epochs } => simulate(
+                &RemappedMemory::new(mem, spec.platform.row_words(), epochs),
+                unit,
+            ),
+            _ => simulate(&mem, unit),
+        }?);
+    }
+    Some((units, blocks))
 }
 
 /// Simulates every memory unit of `spec` under `backend` (overriding
@@ -856,8 +823,6 @@ fn simulate_units(
 ) -> Option<(Vec<Vec<f64>>, u64)> {
     let network = spec.network.spec();
     let policy_seed = spec.seed ^ POLICY_SEED_MIX;
-    let mut units = Vec::new();
-    let mut blocks = 0u64;
 
     // One memory unit: dispatch to the requested simulator. `unit`
     // numbers the NPU FIFO slots so each gets its own TRBG stream
@@ -922,49 +887,27 @@ fn simulate_units(
         SimulatorBackend::Exact => &spec.dwell,
     };
 
-    let row_words = spec.platform.row_words();
+    // Each plan is built (and its quantizers calibrated) under one
+    // `plan_build` span; the flat memory is a single unit 0, the NPU
+    // FIFO one unit per slot.
     let telemetry = opts.telemetry.unwrap_or_else(|| Telemetry::noop());
+    let span = telemetry.span_start("plan_build", opts.parent_span);
     match spec.platform {
         Platform::Baseline | Platform::Crossbar => {
             let config = match spec.platform {
                 Platform::Baseline => AcceleratorConfig::baseline(),
                 _ => AcceleratorConfig::crossbar(),
             };
-            let span = telemetry.span_start("plan_build", opts.parent_span);
-            let mem = FlatWeightMemory::new(&config, &network, spec.format, spec.seed)
-                .with_repair(&spec.repair);
+            let mem = FlatWeightMemory::new(&config, &network, spec.format, spec.seed);
             telemetry.span_end(span);
-            blocks = mem.block_count();
-            let mem = with_dwell(mem, dwell, &network);
-            units.push(simulate_planned(
-                mem,
-                &spec.policy,
-                row_words,
-                0,
-                simulate_unit,
-            )?);
+            simulate_plans(vec![mem], spec, dwell, &network, simulate_unit)
         }
         Platform::TpuLike => {
-            let span = telemetry.span_start("plan_build", opts.parent_span);
             let slots = FifoSlotMemory::all_slots(&network, spec.format, spec.seed);
             telemetry.span_end(span);
-            for (i, slot) in slots.into_iter().enumerate() {
-                blocks += slot.block_count();
-                if slot.block_count() == 0 {
-                    continue;
-                }
-                let slot = with_dwell(slot.with_repair(&spec.repair), dwell, &network);
-                units.push(simulate_planned(
-                    slot,
-                    &spec.policy,
-                    row_words,
-                    i as u64,
-                    simulate_unit,
-                )?);
-            }
+            simulate_plans(slots, spec, dwell, &network, simulate_unit)
         }
     }
-    Some((units, blocks))
 }
 
 /// Runs one experiment with the paper-calibrated SNM model on all
@@ -1029,6 +972,8 @@ pub fn run_experiment_with(spec: &ExperimentSpec, opts: &RunOptions) -> Option<E
     // direct-mapped cache on the duty's bit pattern reuses the
     // identical f64 result, so the aggregation stays bit-for-bit the
     // same while skipping almost every `powf` on exact runs.
+    let telemetry = opts.telemetry.unwrap_or_else(|| Telemetry::noop());
+    let span = telemetry.span_start("aggregate", opts.parent_span);
     let mut memo = vec![(u64::MAX, 0.0f64); 1 << 12];
     for d in units.into_iter().flatten() {
         let bits = d.to_bits();
@@ -1044,6 +989,7 @@ pub fn run_experiment_with(spec: &ExperimentSpec, opts: &RunOptions) -> Option<E
         duty_summary.record(d);
         snm_summary.record(degradation);
     }
+    telemetry.span_end(span);
 
     Some(ExperimentResult {
         label: format!(

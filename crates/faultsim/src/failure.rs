@@ -12,11 +12,11 @@ use std::collections::HashMap;
 
 use dnnlife_accel::{
     AcceleratorConfig, AnalyticSimConfig, BlockSource, FifoSlotMemory, FlatWeightMemory,
-    RemappedMemory, UnitDutyMap,
+    PlanLayout, RemappedMemory, UnitDutyMap, WeightPlan,
 };
 use dnnlife_core::experiment::{Platform, PolicySpec};
 use dnnlife_core::ExperimentSpec;
-use dnnlife_mitigation::RemapSchedule;
+use dnnlife_nn::NetworkSpec;
 use dnnlife_quant::Quantizer;
 use dnnlife_sram::lifetime::ReadFailureModel;
 use dnnlife_sram::snm::{CalibratedSnmModel, SnmModel};
@@ -75,48 +75,12 @@ impl WeightCellDuties {
             "the analytic closed forms need uniform dwell"
         );
         let network = scenario.network.spec();
-        let policy = scenario.policy.analytic(scenario.policy_seed());
         let cfg = AnalyticSimConfig {
             inferences: scenario.inferences,
             sample_stride: 1,
             threads,
             shards,
         };
-        let layer_count = network.layers().len();
-        let word_duties: Vec<f64>;
-        let mut weight_words: Vec<Vec<u32>> = Vec::with_capacity(layer_count);
-        let mut quantizers = Vec::with_capacity(layer_count);
-        let word_bits;
-
-        // Wear-leveling is a plan transform: the duty map then runs
-        // over the *rotated* physical memory (epochs × K blocks), and
-        // each logical weight is read back from its final-epoch
-        // physical word.
-        let row_words = scenario.platform.row_words();
-        let wear_epochs = match scenario.policy {
-            PolicySpec::WearLevel { epochs } => Some(epochs),
-            _ => None,
-        };
-        let duty_map = |mem: &FlatWeightMemory| -> (UnitDutyMap, Option<RemapSchedule>) {
-            match wear_epochs {
-                Some(epochs) => {
-                    let remapped = RemappedMemory::new(mem.clone(), row_words, epochs);
-                    let schedule = *remapped.schedule();
-                    (
-                        UnitDutyMap::analytic(&remapped, &policy, &cfg),
-                        Some(schedule),
-                    )
-                }
-                None => (UnitDutyMap::analytic(mem, &policy, &cfg), None),
-            }
-        };
-        let physical_word = |schedule: Option<RemapSchedule>, word: usize| -> usize {
-            match schedule {
-                Some(s) => s.final_physical_word(word as u64) as usize,
-                None => word,
-            }
-        };
-
         match scenario.platform {
             Platform::Baseline | Platform::Crossbar => {
                 let config = match scenario.platform {
@@ -128,67 +92,72 @@ impl WeightCellDuties {
                     &network,
                     scenario.format,
                     tables,
-                )
-                .with_repair(&scenario.repair);
-                word_bits = mem.geometry().word_bits;
-                let (map, schedule) = duty_map(&mem);
-                word_duties = map.duties().to_vec();
-                for (li, layer) in network.layers().iter().enumerate() {
-                    quantizers.push(mem.layer_quantizer(li));
-                    let mut words = Vec::with_capacity(layer.weight_count() as usize);
-                    for w in 0..layer.weight_count() {
-                        let addr = mem.locate_weight(li, w);
-                        let word = physical_word(schedule, addr.word);
-                        words.push(u32::try_from(word).expect("word index fits u32"));
-                    }
-                    weight_words.push(words);
-                }
+                );
+                Self::from_units(vec![mem], scenario, &network, &cfg)
             }
             Platform::TpuLike => {
-                let slots: Vec<FifoSlotMemory> =
-                    FifoSlotMemory::all_slots_with_weight_tables(&network, scenario.format, tables)
-                        .into_iter()
-                        .map(|slot| slot.with_repair(&scenario.repair))
-                        .collect();
-                word_bits = slots[0].geometry().word_bits;
-                let slot_words = slots[0].geometry().words;
-                let mut maps = Vec::with_capacity(slots.len());
-                let mut schedule = None;
-                for slot in &slots {
-                    assert_eq!(slot.geometry().words, slot_words, "uniform FIFO slots");
-                    match wear_epochs {
-                        Some(epochs) => {
-                            let remapped = RemappedMemory::new(slot.clone(), row_words, epochs);
-                            schedule = Some(*remapped.schedule());
-                            maps.push(UnitDutyMap::analytic(&remapped, &policy, &cfg));
-                        }
-                        None => maps.push(UnitDutyMap::analytic(slot, &policy, &cfg)),
-                    }
-                }
-                word_duties = maps
-                    .iter()
-                    .flat_map(|m| m.duties().iter().copied())
-                    .collect();
-                for (li, layer) in network.layers().iter().enumerate() {
-                    quantizers.push(slots[0].layer_quantizer(li));
-                    let mut words = Vec::with_capacity(layer.weight_count() as usize);
-                    for w in 0..layer.weight_count() {
-                        let (slot, addr) = slots
-                            .iter()
-                            .enumerate()
-                            .find_map(|(s, slot)| slot.locate_weight(li, w).map(|a| (s, a)))
-                            .expect("every weight lands in exactly one FIFO slot");
-                        let word = physical_word(schedule, addr.word);
-                        let gw = slot * slot_words + word;
-                        words.push(u32::try_from(gw).expect("word index fits u32"));
-                    }
-                    weight_words.push(words);
-                }
+                let slots =
+                    FifoSlotMemory::all_slots_with_weight_tables(&network, scenario.format, tables);
+                Self::from_units(slots, scenario, &network, &cfg)
             }
+        }
+    }
+
+    /// The duties of `units` (the flat memory, or the FIFO slots in
+    /// slot order) under `scenario`'s repair and policy: global words
+    /// number the units back to back. Wear-leveling is a plan
+    /// transform: the duty map then runs over the *rotated* physical
+    /// memory (epochs × K blocks), and each logical weight is read back
+    /// from its final-epoch physical word.
+    fn from_units<L: PlanLayout>(
+        units: Vec<WeightPlan<L>>,
+        scenario: &ExperimentSpec,
+        network: &NetworkSpec,
+        cfg: &AnalyticSimConfig,
+    ) -> (Self, Vec<Quantizer>) {
+        let policy = scenario.policy.analytic(scenario.policy_seed());
+        let units: Vec<WeightPlan<L>> = units
+            .into_iter()
+            .map(|unit| unit.with_repair(&scenario.repair))
+            .collect();
+        let geometry = units[0].geometry();
+        let mut word_duties = Vec::new();
+        let mut schedule = None;
+        for unit in &units {
+            assert_eq!(unit.geometry(), geometry, "uniform memory units");
+            let map = match scenario.policy {
+                PolicySpec::WearLevel { epochs } => {
+                    let row_words = scenario.platform.row_words();
+                    let remapped = RemappedMemory::new(unit.clone(), row_words, epochs);
+                    schedule = Some(*remapped.schedule());
+                    UnitDutyMap::analytic(&remapped, &policy, cfg)
+                }
+                _ => UnitDutyMap::analytic(unit, &policy, cfg),
+            };
+            word_duties.extend_from_slice(map.duties());
+        }
+        let mut quantizers = Vec::with_capacity(network.layers().len());
+        let mut weight_words = Vec::with_capacity(network.layers().len());
+        for (li, layer) in network.layers().iter().enumerate() {
+            quantizers.push(units[0].layer_quantizer(li));
+            let words = (0..layer.weight_count())
+                .map(|w| {
+                    let (unit, addr) = units
+                        .iter()
+                        .enumerate()
+                        .find_map(|(u, unit)| unit.locate_weight(li, w).map(|a| (u, a)))
+                        .expect("every weight lands in exactly one memory unit");
+                    let word = schedule.map_or(addr.word, |s| {
+                        s.final_physical_word(addr.word as u64) as usize
+                    });
+                    u32::try_from(unit * geometry.words + word).expect("word index fits u32")
+                })
+                .collect();
+            weight_words.push(words);
         }
         (
             Self {
-                word_bits,
+                word_bits: geometry.word_bits,
                 word_duties,
                 weight_words,
             },

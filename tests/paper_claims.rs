@@ -37,13 +37,9 @@ fn npu_fifo_geometry() {
         cfg.weight_memory_bytes,
         FifoSlotMemory::DEPTH * FifoSlotMemory::TILE_SIDE * FifoSlotMemory::TILE_SIDE
     );
-    let slot = FifoSlotMemory::new(
-        0,
-        &NetworkKind::Alexnet.spec(),
-        NumberFormat::Int8Symmetric,
-        1,
-    );
-    assert_eq!(slot.geometry().words, 256 * 256);
+    let slots =
+        FifoSlotMemory::all_slots(&NetworkKind::Alexnet.spec(), NumberFormat::Int8Symmetric, 1);
+    assert_eq!(slots[0].geometry().words, 256 * 256);
 }
 
 /// §V-A: networks are "the AlexNet and the VGG-16 ... and a custom
