@@ -117,7 +117,8 @@ fn table_sources(spec: &NetworkSpec, tables: &[Vec<f32>]) -> Vec<WeightSource> {
 const RANGE_CAP: u64 = 1_000_000;
 
 /// The layer table of `spec`: shapes plus one quantizer per layer,
-/// calibrated on the first [`RANGE_CAP`] weights of its source.
+/// calibrated on the first [`RANGE_CAP`] weights of its source, and the
+/// code table of every generated int8 layer.
 fn layer_table(
     spec: &NetworkSpec,
     format: NumberFormat,
@@ -126,13 +127,136 @@ fn layer_table(
     spec.layers()
         .iter()
         .zip(sources)
-        .map(|(layer, source)| PlanLayer {
-            filters: layer.filter_count(),
-            weights_per_filter: layer.weights_per_filter(),
-            quantizer: Quantizer::calibrate(format, &source.range(RANGE_CAP)),
-            source,
+        .map(|(layer, source)| {
+            let quantizer = Quantizer::calibrate(format, &source.range(RANGE_CAP));
+            let codes = match &source {
+                WeightSource::Gen(gen) => CodeTable::new(*gen, quantizer).map(Arc::new),
+                WeightSource::Table(_) => None,
+            };
+            PlanLayer {
+                filters: layer.filter_count(),
+                weights_per_filter: layer.weights_per_filter(),
+                source,
+                quantizer,
+                codes,
+            }
         })
         .collect()
+}
+
+/// The top bits of a 53-bit uniform that index [`CodeTable`]'s buckets.
+const BUCKET_BITS: u32 = 12;
+/// The shift from a 53-bit uniform to its bucket.
+const BUCKET_SHIFT: u32 = 53 - BUCKET_BITS;
+/// The largest 53-bit uniform.
+const TOP_UNIFORM: u64 = (1 << 53) - 1;
+
+/// One generated layer's int8 stored codes as a step function of the
+/// weight's 53-bit uniform.
+///
+/// [`LayerWeightGen::weight_at`] is monotone non-decreasing in its
+/// uniform, and int8 encoding (scale, round, clamp) is monotone in the
+/// weight, so the code's *rank* — the code read as `i8` under a
+/// symmetric quantizer, as `u8` under an asymmetric one — never falls
+/// as the uniform grows: it takes at most 256 values, each on one run
+/// of uniforms. The table holds each reached rank's first uniform
+/// (found by bisection, ≤ 53 weight evaluations per rank) and its
+/// stored code, so [`CodeTable::code`] is SplitMix plus a lookup,
+/// bit-identical to `quantizer.encode(gen.weight(index))`.
+#[derive(Debug)]
+struct CodeTable {
+    gen: LayerWeightGen,
+    /// The first uniform of each reached rank, ascending from 0, then a
+    /// `u64::MAX` sentinel that no uniform reaches.
+    starts: Vec<u64>,
+    /// The stored code of each reached rank.
+    codes: Vec<u8>,
+    /// For each of the `2^BUCKET_BITS` equal runs of uniforms: the
+    /// index into `starts` of the rank at the run's first uniform.
+    buckets: Box<[u8; 1 << BUCKET_BITS]>,
+}
+
+impl CodeTable {
+    /// The table of `gen` under `quantizer`, or `None` for fp32 (whose
+    /// codes are the weight's own bits, not a step function).
+    fn new(gen: LayerWeightGen, quantizer: Quantizer) -> Option<Self> {
+        let signed = match quantizer {
+            Quantizer::Fp32 => return None,
+            Quantizer::Int8Symmetric { .. } => true,
+            Quantizer::Int8Asymmetric { .. } => false,
+        };
+        let code = |k: u64| quantizer.encode(gen.weight_at(k)) as u8;
+        let rank = |c: u8| {
+            if signed {
+                i32::from(c as i8)
+            } else {
+                i32::from(c)
+            }
+        };
+        let top_rank = rank(code(TOP_UNIFORM));
+        let (mut starts, mut codes) = (vec![0], vec![code(0)]);
+        let mut current = rank(codes[0]);
+        while current < top_rank {
+            // The smallest uniform whose rank exceeds the current one;
+            // it exists, since the top uniform's does. Ranks it jumps
+            // over are reached by no uniform and get no entry.
+            let (mut lo, mut hi) = (starts[starts.len() - 1] + 1, TOP_UNIFORM);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if rank(code(mid)) > current {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            let c = code(lo);
+            starts.push(lo);
+            codes.push(c);
+            current = rank(c);
+        }
+        let mut buckets = Box::new([0u8; 1 << BUCKET_BITS]);
+        for (bucket, entry) in buckets.iter_mut().enumerate() {
+            let first = (bucket as u64) << BUCKET_SHIFT;
+            let index = starts.partition_point(|&start| start <= first) - 1;
+            *entry = u8::try_from(index).expect("an int8 code has at most 256 ranks");
+        }
+        starts.push(u64::MAX);
+        Some(Self {
+            gen,
+            starts,
+            codes,
+            buckets,
+        })
+    }
+
+    /// The stored code of the weight drawn from the 53-bit uniform `k`:
+    /// the bucket's rank, refined up the table.
+    #[inline]
+    fn code_at(&self, k: u64) -> u32 {
+        let mut i = usize::from(self.buckets[(k >> BUCKET_SHIFT) as usize]);
+        while self.starts[i + 1] <= k {
+            i += 1;
+        }
+        u32::from(self.codes[i])
+    }
+
+    /// The stored code of weight `index`.
+    #[inline]
+    fn code(&self, index: u64) -> u32 {
+        self.code_at(self.gen.uniform_bits(index))
+    }
+}
+
+impl PlanLayer {
+    /// The stored (pre-ECC) code of weight `index`: through the code
+    /// table when the layer has one, else by encoding the weight.
+    #[inline]
+    fn data_word(&self, index: u64) -> u64 {
+        u64::from(match &self.codes {
+            Some(codes) => codes.code(index),
+            None => self.quantizer.encode(self.source.weight(index)),
+        })
+    }
 }
 
 /// Physical location of one canonical weight inside a memory unit:
@@ -593,8 +717,7 @@ impl<L: PlanLayout> BlockSource for WeightPlan<L> {
         let Some((li, index)) = self.layout.weight_at(&self.layers, block, word as u64) else {
             return 0; // padding (the codeword of 0 is 0)
         };
-        let layer = &self.layers[li];
-        let data = u64::from(layer.quantizer.encode(layer.source.weight(index)));
+        let data = self.layers[li].data_word(index);
         match &self.ecc {
             Some(layout) => layout.store(data),
             None => data,
@@ -733,6 +856,8 @@ mod tests {
         assert_eq!(fp32.geometry().words, int8.geometry().words / 4);
         // 131072 fp32 words per fill: ceil(60954656 / 131072) = 466.
         assert_eq!(fp32.block_count(), 466);
+        // Fp32 codes are the weights' own bits: no code table.
+        assert!(fp32.layers.iter().all(|layer| layer.codes.is_none()));
     }
 
     #[test]
@@ -1167,6 +1292,125 @@ mod tests {
         // count is near but above the dense bound.
         let total = slots[0].total_tiles();
         assert!((930..1100).contains(&total), "tiles = {total}");
+    }
+
+    /// Every generated layer of the zoo under `format` at `seed`, as the
+    /// plans build them: `(name, generator, quantizer, code table)`.
+    fn zoo_code_tables(
+        format: NumberFormat,
+        seed: u64,
+    ) -> Vec<(String, LayerWeightGen, Quantizer, Arc<CodeTable>)> {
+        let zoo = [
+            NetworkSpec::alexnet(),
+            NetworkSpec::vgg16(),
+            NetworkSpec::custom_mnist(),
+        ];
+        zoo.iter()
+            .flat_map(|spec| {
+                layer_table(spec, format, generated_sources(spec, seed))
+                    .into_iter()
+                    .enumerate()
+                    .map(|(li, layer)| {
+                        let WeightSource::Gen(gen) = layer.source else {
+                            unreachable!("generated sources")
+                        };
+                        let codes = layer
+                            .codes
+                            .expect("int8 generated layers have a code table");
+                        (
+                            format!("{} layer {li}", spec.name()),
+                            gen,
+                            layer.quantizer,
+                            codes,
+                        )
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
+    const INT8: [NumberFormat; 2] = [NumberFormat::Int8Symmetric, NumberFormat::Int8Asymmetric];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(3))]
+
+        /// The code table encodes random weights of every AlexNet,
+        /// VGG-16 and custom-MNIST layer exactly as the quantizer does,
+        /// under both int8 formats.
+        #[test]
+        fn code_table_matches_encode_on_random_indices(
+            seed: u64,
+            picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 256..257),
+        ) {
+            for format in INT8 {
+                for (name, gen, quantizer, codes) in zoo_code_tables(format, seed) {
+                    for &pick in &picks {
+                        let index = pick % gen.len();
+                        proptest::prop_assert_eq!(
+                            codes.code(index),
+                            quantizer.encode(gen.weight(index)),
+                            "{} {} weight {}", name, format, index
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn code_table_is_exact_on_both_sides_of_every_threshold() {
+        for format in INT8 {
+            for (name, gen, quantizer, codes) in zoo_code_tables(format, 42) {
+                let encode = |k: u64| quantizer.encode(gen.weight_at(k));
+                for k in [0, TOP_UNIFORM] {
+                    assert_eq!(codes.code_at(k), encode(k), "{name} {format} uniform {k}");
+                }
+                let thresholds = &codes.starts[1..codes.starts.len() - 1];
+                for &t in thresholds {
+                    let (below, at) = (codes.code_at(t - 1), codes.code_at(t));
+                    assert_eq!(below, encode(t - 1), "{name} {format} below threshold {t}");
+                    assert_eq!(at, encode(t), "{name} {format} at threshold {t}");
+                    assert_ne!(below, at, "{name} {format}: {t} is not a step");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tiny_plan_with_skipped_tail_ranks_matches_direct_encoding() {
+        // Symmetric calibration spans the longer tail, so the shorter
+        // tail's ranks are never reached and get no table entry.
+        let mut cfg = AcceleratorConfig::baseline();
+        cfg.weight_memory_bytes = 2048;
+        let spec = NetworkSpec::custom_mnist();
+        let format = NumberFormat::Int8Symmetric;
+        let plan = FlatWeightMemory::new(&cfg, &spec, format, 3);
+        let ranks = |layer: &PlanLayer| {
+            let codes = &layer.codes.as_ref().expect("code table").codes;
+            (codes[0] as i8, codes[codes.len() - 1] as i8, codes.len())
+        };
+        assert!(
+            plan.layers
+                .iter()
+                .map(ranks)
+                .any(|(lo, hi, n)| (lo > -127 || hi < 127) && n < 255),
+            "some layer must skip tail ranks: {:?}",
+            plan.layers.iter().map(ranks).collect::<Vec<_>>()
+        );
+        // Every word of every block equals the table-backed twin's,
+        // which encodes each weight directly.
+        let direct =
+            FlatWeightMemory::with_weight_tables(&cfg, &spec, format, &gen_tables(&spec, 3));
+        assert!(direct.layers.iter().all(|layer| layer.codes.is_none()));
+        for block in 0..plan.block_count() {
+            for word in 0..plan.geometry().words {
+                assert_eq!(
+                    plan.word(block, word),
+                    direct.word(block, word),
+                    "block {block} word {word}"
+                );
+            }
+        }
     }
 
     fn small_flat() -> FlatWeightMemory {

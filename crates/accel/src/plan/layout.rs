@@ -5,18 +5,23 @@
 //! the layer table, the ECC step and the dwell weights live in the plan
 //! and are shared by both layouts.
 
+use std::sync::Arc;
+
 use dnnlife_quant::Quantizer;
 
-use super::{FifoSlotMemory, WeightAddress, WeightSource};
+use super::{CodeTable, FifoSlotMemory, WeightAddress, WeightSource};
 
 /// One row of a plan's layer table: the layer's shape, where its weight
-/// values come from and the quantizer calibrated on them.
+/// values come from, the quantizer calibrated on them and, for a
+/// generated source under an int8 quantizer, the code table that
+/// encodes its words.
 #[derive(Debug, Clone)]
 pub struct PlanLayer {
     pub(super) filters: u64,
     pub(super) weights_per_filter: u64,
     pub(super) source: WeightSource,
     pub(super) quantizer: Quantizer,
+    pub(super) codes: Option<Arc<CodeTable>>,
 }
 
 /// The address mapping of one memory unit. Sealed: implemented only by

@@ -1,10 +1,10 @@
 //! Exact vs analytic weight-memory simulation cost — the speedup that
 //! makes the paper-scale (512 KB × fp32 × VGG) runs tractable.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use dnnlife_accel::{
     simulate_analytic, simulate_exact, AcceleratorConfig, AnalyticPolicy, AnalyticSimConfig,
-    FlatWeightMemory,
+    BlockSource, FifoSlotMemory, FlatWeightMemory,
 };
 use dnnlife_mitigation::{AgingController, DnnLife, Passthrough, PseudoTrbg};
 use dnnlife_nn::NetworkSpec;
@@ -105,5 +105,47 @@ fn bench_simulators(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_simulators);
+/// Sum of every word of the first `blocks` blocks of `plan`.
+fn fetch_words(plan: &impl BlockSource, blocks: u64) -> u64 {
+    let words = plan.geometry().words;
+    let mut sum = 0u64;
+    for block in 0..blocks {
+        for word in 0..words {
+            sum = sum.wrapping_add(plan.word(block, word));
+        }
+    }
+    sum
+}
+
+/// The block-word fetch on its own (generate, quantize, encode): every
+/// word of AlexNet FIFO slot 0's first 8 tiles, for both int8 formats.
+/// The NPU FIFO is 8-bit only, so the fp32 cell reads the same 8·256²
+/// words as the first 4 fills of the baseline flat memory.
+fn bench_plan_word_fetch(c: &mut Criterion) {
+    const TILES: u64 = 8;
+    let spec = NetworkSpec::alexnet();
+    let mut group = c.benchmark_group("plan_word_fetch");
+    group.sample_size(10);
+    let words = TILES * FifoSlotMemory::TILE_SIDE * FifoSlotMemory::TILE_SIDE;
+    group.throughput(Throughput::Elements(words));
+    for (name, format) in [
+        ("alexnet_slot0_int8_symmetric", NumberFormat::Int8Symmetric),
+        (
+            "alexnet_slot0_int8_asymmetric",
+            NumberFormat::Int8Asymmetric,
+        ),
+    ] {
+        let slot = FifoSlotMemory::all_slots(&spec, format, 3).swap_remove(0);
+        assert!(slot.block_count() >= TILES);
+        group.bench_function(name, |b| b.iter(|| black_box(fetch_words(&slot, TILES))));
+    }
+    let flat = FlatWeightMemory::new(&AcceleratorConfig::baseline(), &spec, NumberFormat::Fp32, 3);
+    let fills = words / flat.geometry().words as u64;
+    group.bench_function("alexnet_flat_fp32", |b| {
+        b.iter(|| black_box(fetch_words(&flat, fills)))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_simulators, bench_plan_word_fetch);
 criterion_main!(benches);

@@ -83,6 +83,7 @@ pub mod crossval;
 pub mod executor;
 pub mod grid;
 pub mod inject;
+mod jsonl;
 pub mod perf;
 pub mod store;
 pub mod trace;

@@ -2,8 +2,9 @@
 //! telemetry `events.jsonl` journal and diffs two journals to flag
 //! regressions.
 //!
-//! The journal is read tolerantly — unparsable lines (a torn tail from
-//! a killed run, a hand-edited file) are skipped, never fatal — and
+//! The journal is read tolerantly — unparsable lines (a hand-edited
+//! file) and a torn tail from a killed run (an unterminated final line,
+//! the rule in `jsonl`) are skipped and counted, never fatal — and
 //! may span several campaign invocations (resume runs append to the
 //! same file): per-invocation `counters` roll-ups sum, scenario events
 //! concatenate, and the campaign wall clock is the sum over
@@ -14,6 +15,8 @@ use std::path::Path;
 
 use dnnlife_telemetry::HistogramSnapshot;
 use serde::{Serialize, Value};
+
+use crate::jsonl::{complete_lines, num_field, str_field, u64_field};
 
 /// One `scenario_done` event: a completed item's identity and timing.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,27 +82,6 @@ pub struct LatencyMs {
     pub max_ms: f64,
 }
 
-fn str_field<'v>(v: &'v Value, key: &str) -> Option<&'v str> {
-    match v.get(key) {
-        Some(Value::String(s)) => Some(s),
-        _ => None,
-    }
-}
-
-fn num_field(v: &Value, key: &str) -> Option<f64> {
-    match v.get(key) {
-        Some(Value::Number(n)) => Some((*n).as_f64()),
-        _ => None,
-    }
-}
-
-fn u64_field(v: &Value, key: &str) -> Option<u64> {
-    match v.get(key) {
-        Some(Value::Number(n)) => (*n).as_u64(),
-        _ => None,
-    }
-}
-
 /// Loads and aggregates one events journal.
 ///
 /// # Errors
@@ -121,7 +103,9 @@ pub fn summarize(journal: &str) -> PerfSummary {
     // wall clock closes per invocation: a campaign_done/abort pairs
     // with the latest campaign_start.
     let mut open_start_ms: Option<f64> = None;
-    for line in journal.lines() {
+    let (lines, torn) = complete_lines(journal);
+    out.skipped_lines = u64::from(torn);
+    for line in lines {
         let line = line.trim();
         if line.is_empty() {
             continue;
@@ -969,7 +953,7 @@ mod tests {
         let a: Vec<u64> = (1..=60).map(|i| i * 1_000).collect(); // 1..60 ms
         let b: Vec<u64> = vec![250_000, 500_000, 900_000]; // heavy tail
         let text = format!(
-            "{}\n{}\n{}",
+            "{}\n{}\n{}\n",
             journal(),
             hist_line("scenario_wall_us", &a),
             hist_line("scenario_wall_us", &b)
@@ -1016,7 +1000,7 @@ mod tests {
         // events must all summarize; only the torn line is skipped,
         // and "v" never leaks into the counter table.
         let text = format!(
-            "{}\n{}\n{}",
+            "{}\n{}\n{}\n",
             journal(),
             r#"{"ev":"counters","v":1,"t_ms":300,"exact_word_writes":500}"#,
             r#"{"ev":"hologram","v":2,"t_ms":301,"payload":[1,2,3]}"#,
@@ -1030,7 +1014,7 @@ mod tests {
     #[test]
     fn wall_p99_gate_floors_and_demands_histograms() {
         let text = format!(
-            "{}\n{}",
+            "{}\n{}\n",
             journal(),
             hist_line("scenario_wall_us", &[40_000, 50_000, 60_000])
         );

@@ -28,6 +28,8 @@ use dnnlife_core::experiment::PolicySpec;
 use dnnlife_core::{ExperimentResult, ExperimentSpec, ShardPolicy, SimulatorBackend};
 use serde::{Deserialize, Serialize};
 
+use crate::jsonl::complete_lines;
+
 /// What a record type must provide to live in a [`JsonlStore`]: a
 /// stored key and a way to recompute it from the record's content, so
 /// a record whose spec was edited (or written by a binary with a
@@ -155,9 +157,11 @@ pub type ResultStore = JsonlStore<ScenarioRecord>;
 
 impl<R: StoreRecord> JsonlStore<R> {
     /// Opens (or creates the notion of) a store at `path`, loading any
-    /// records already on disk. A torn final line — the signature of a
-    /// killed journal append — is ignored and later truncated; corrupt
-    /// content anywhere else is an error.
+    /// records already on disk. A torn final line — unterminated, the
+    /// signature of a killed journal append (the line rule every JSONL
+    /// reader of this crate shares) — is ignored and later truncated, and
+    /// so is a final complete line that does not parse; corrupt content
+    /// anywhere else is an error.
     pub fn open(path: impl Into<PathBuf>) -> std::io::Result<Self> {
         let path = path.into();
         let mut records = BTreeMap::new();
@@ -165,11 +169,11 @@ impl<R: StoreRecord> JsonlStore<R> {
         if path.exists() {
             let mut text = String::new();
             File::open(&path)?.read_to_string(&mut text)?;
-            let mut offset = 0usize;
-            for (i, line) in text.split_inclusive('\n').enumerate() {
-                let trimmed = line.trim_end_matches('\n');
-                match serde_json::from_str::<R>(trimmed) {
-                    Ok(record) if line.ends_with('\n') => {
+            let (lines, torn) = complete_lines(&text);
+            let mut lines = lines.enumerate().peekable();
+            while let Some((i, line)) = lines.next() {
+                match serde_json::from_str::<R>(line) {
+                    Ok(record) => {
                         // The key is stored redundantly; verify it so a
                         // record whose spec was edited (or written by a
                         // binary with a different hash scheme) can't
@@ -186,15 +190,11 @@ impl<R: StoreRecord> JsonlStore<R> {
                                 ),
                             ));
                         }
-                        offset += line.len();
+                        valid_len += line.len() as u64 + 1;
                         records.insert(record.key().to_string(), record);
                     }
-                    Ok(_) | Err(_) if offset + line.len() == text.len() => {
-                        // Unterminated or unparsable final line: torn
-                        // journal append. Drop it.
-                        break;
-                    }
-                    Ok(_) => unreachable!("split_inclusive: only the last line lacks \\n"),
+                    // The file's last line, garbled: a torn append too.
+                    Err(_) if !torn && lines.peek().is_none() => break,
                     Err(e) => {
                         return Err(std::io::Error::new(
                             std::io::ErrorKind::InvalidData,
@@ -203,7 +203,6 @@ impl<R: StoreRecord> JsonlStore<R> {
                     }
                 }
             }
-            valid_len = offset as u64;
         }
         Ok(Self {
             path,

@@ -5,8 +5,9 @@
 //! The executor opens one `campaign:{name}` root span per campaign,
 //! a `scenario` span per work item, and the backends nest their own
 //! work under it (`exact_shard` / `exact_merge` / `analytic_shard` for
-//! the simulators; `train` / `duty_sim` / `clean_score` per cell and
-//! `trial_decode` / `trial_score` per trial for the injector).
+//! the simulators; `train` / `duty_sim` / `clean_score` per cell,
+//! `failure_probs` per age and `trial_decode` / `trial_score` per trial
+//! for the injector).
 //! Every event carries the span's id and its parent's id, so the whole
 //! forest reconstructs from the journal alone — including journals
 //! appended across `--resume` invocations, because span ids are seeded
@@ -14,7 +15,8 @@
 //!
 //! Parsing follows the journal's tolerance contract: unknown event
 //! kinds and a missing `"v"` schema-version field are ignored, torn
-//! lines are counted in [`Trace::skipped_lines`], and a `span_start`
+//! and unparsable lines are counted in [`Trace::skipped_lines`] (an
+//! unterminated final line is torn even when it parses), and a `span_start`
 //! whose parent id never appears is counted as an orphan rather than
 //! discarded (it renders as a root).
 
@@ -22,6 +24,8 @@ use std::io::Read;
 use std::path::Path;
 
 use serde::{Serialize, Value};
+
+use crate::jsonl::{complete_lines, str_field, u64_field};
 
 /// One reconstructed span: a labelled interval with an optional parent.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,29 +74,17 @@ pub struct Trace {
     pub orphans: u64,
     /// Spans with no `span_end` event.
     pub unended: u64,
-    /// Journal lines skipped as unparsable.
+    /// Journal lines skipped as unparsable or torn.
     pub skipped_lines: u64,
-}
-
-fn u64_field(v: &Value, key: &str) -> Option<u64> {
-    match v.get(key) {
-        Some(Value::Number(n)) => (*n).as_u64(),
-        _ => None,
-    }
-}
-
-fn str_field<'v>(v: &'v Value, key: &str) -> Option<&'v str> {
-    match v.get(key) {
-        Some(Value::String(s)) => Some(s),
-        _ => None,
-    }
 }
 
 /// Parses a journal's text into a [`Trace`], tolerating torn lines and
 /// unknown event kinds exactly like `perf::summarize`.
 pub fn reconstruct(text: &str) -> Trace {
     let mut out = Trace::default();
-    for line in text.lines() {
+    let (lines, torn) = complete_lines(text);
+    out.skipped_lines = u64::from(torn);
+    for line in lines {
         let line = line.trim();
         if line.is_empty() {
             continue;
@@ -466,7 +458,8 @@ mod tests {
             r#"{"ev":"span_start","v":1,"span":1,"parent":999,"label":"scenario","t_us":10}"#,
             r#"{"ev":"span_start","v":1,"span":2,"label":"campaign:x","t_us":20}"#,
         ]
-        .join("\n");
+        .join("\n")
+            + "\n";
         let t = reconstruct(&text);
         assert_eq!(t.spans.len(), 2);
         assert_eq!(t.orphans, 1);
@@ -484,7 +477,8 @@ mod tests {
             r#"{"ev":"span_start","span":5,"label":"campaign:y","t_ms":1}"#,
             r#"{"ev":"span_end","span":5,"t_ms":3}"#,
         ]
-        .join("\n");
+        .join("\n")
+            + "\n";
         let t = reconstruct(&text);
         assert_eq!(t.spans[0].start_us, 1_000);
         assert_eq!(t.spans[0].end_us, Some(3_000));

@@ -196,10 +196,13 @@ proptest! {
         let (text, line) = damage.apply(events, index);
         let expected = match damage {
             Damage::Truncate { .. } => (1, 1),
-            Damage::Flip { .. } => skips(line.as_deref().expect("flipped line")),
+            // The flipped line keeps its newline in the journal.
+            Damage::Flip { .. } => skips(&format!("{}\n", line.expect("flipped line"))),
             Damage::Drop | Damage::Duplicate | Damage::InsertFuture => (0, 0),
             Damage::Cut { .. } => {
-                // A cut at a line boundary leaves only whole lines.
+                // A cut at a line boundary leaves only whole lines; any
+                // other cut leaves an unterminated final line, which is
+                // torn even when what is left of it parses.
                 let torn = !text.is_empty() && !text.ends_with('\n');
                 (u64::from(torn), u64::from(torn))
             }
@@ -262,5 +265,30 @@ proptest! {
                 prop_assert!(records as u64 <= lines);
             }
         }
+    }
+}
+
+/// A cut exactly one byte before a `\n` leaves a final line that is
+/// whole JSON without its newline. All three readers treat it as a torn
+/// write: the event readers skip it once, the store keeps only the
+/// records before it. Every line boundary of both fixtures is cut.
+#[test]
+fn a_cut_just_before_a_newline_is_a_torn_line_for_every_reader() {
+    let (events, store, _) = fixture();
+    for (at, _) in events.match_indices('\n') {
+        let cut = &events[..at];
+        assert!(
+            serde_json::from_str::<serde::Value>(&cut[cut.rfind('\n').map_or(0, |n| n + 1)..])
+                .is_ok(),
+            "the cut-off line parses"
+        );
+        assert_eq!(skips(cut), (1, 1), "events cut at byte {at}");
+    }
+    for (records, (at, _)) in store.match_indices('\n').enumerate() {
+        assert_eq!(
+            open_store(&store[..at], "cut.jsonl"),
+            Ok(records),
+            "store cut at byte {at}"
+        );
     }
 }

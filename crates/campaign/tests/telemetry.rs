@@ -579,11 +579,18 @@ fn injection_journal_carries_per_trial_spans() {
     for stage in ["train", "duty_sim", "clean_score"] {
         assert_eq!(count(stage), cells, "one `{stage}` span per cell");
     }
+    let ages = tiny_params().ages_years.len();
+    assert_eq!(
+        count("failure_probs"),
+        cells * ages,
+        "one `failure_probs` span per SRAM cell and age"
+    );
     // Every stage and trial span's parent is a scenario span.
     let nested = [
         "train",
         "duty_sim",
         "clean_score",
+        "failure_probs",
         "trial_decode",
         "trial_score",
     ];

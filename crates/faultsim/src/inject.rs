@@ -48,7 +48,8 @@ pub struct InjectOptions<'a> {
     /// roll-ups. Never semantic.
     pub telemetry: Option<&'a Telemetry>,
     /// Trace-span parent for the `train`, `duty_sim` and `clean_score`
-    /// spans and the per-trial `trial_decode` / `trial_score` spans
+    /// spans, the per-age `failure_probs` span (SRAM cells only) and the
+    /// per-trial `trial_decode` / `trial_score` spans
     /// journaled through `telemetry`.
     pub parent_span: SpanId,
 }
@@ -251,7 +252,12 @@ pub fn run_injection(spec: &FaultInjectionSpec, opts: &InjectOptions) -> Option<
             return None;
         }
         let probs = match spec.scenario.tech {
-            MemoryTech::SramNbti => duties.failure_probabilities(&snm, &failure_model, years),
+            MemoryTech::SramNbti => {
+                let span = telemetry.span_start("failure_probs", opts.parent_span);
+                let probs = duties.failure_probabilities(&snm, &failure_model, years);
+                telemetry.span_end(span);
+                probs
+            }
             // Endurance faults are hard stuck-ats computed straight
             // from the wear model — no per-read failure probabilities.
             MemoryTech::ReramEndurance => Vec::new(),

@@ -22,6 +22,15 @@
 //! (sequential scan) and the accelerator dataflow (strided block order)
 //! therefore observe *identical* values without ever materialising a
 //! 138M-element tensor.
+//!
+//! Weight `i` is [`LayerWeightGen::weight_at`] of a 53-bit uniform
+//! ([`LayerWeightGen::uniform_bits`]), and that map is monotone
+//! non-decreasing. Two consumers use the order instead of evaluating
+//! `ln` per weight: [`LayerWeightGen::range`] keeps only the extreme
+//! uniforms, and the accelerator's weight plans turn each layer's int8
+//! quantizer into a code table — the ≤ 255 uniforms where the stored
+//! code steps up, found once by bisection — so encoding a synthetic
+//! word is SplitMix plus a table lookup.
 
 use crate::zoo::NetworkSpec;
 
@@ -141,16 +150,24 @@ impl LayerWeightGen {
     }
 
     /// The 53-bit counter-based uniform behind weight `index`:
-    /// SplitMix64 of `(layer_seed, index)`, top 53 bits.
+    /// SplitMix64 of `(layer_seed, index)`, top 53 bits, so always
+    /// below 2⁵³. `weight(index) == weight_at(uniform_bits(index))`.
     #[inline]
-    fn uniform_bits(&self, index: u64) -> u64 {
+    pub fn uniform_bits(&self, index: u64) -> u64 {
         splitmix(self.layer_seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> 11
     }
 
-    /// The weight drawn from the 53-bit uniform `k`. Monotone
-    /// non-decreasing in `k` (see [`LayerWeightGen::range`]).
+    /// The weight drawn from the 53-bit uniform `k` (`k < 2⁵³`).
+    ///
+    /// Guaranteed monotone non-decreasing in `k` over the whole
+    /// `[0, 2⁵³)`, across the `u = 0.5` branch switch included: `k₁ < k₂`
+    /// implies `weight_at(k₁) <= weight_at(k₂)` (the argument is on
+    /// [`LayerWeightGen::range`]). Callers may rely on it: `range` keeps
+    /// only the extreme uniforms, and the accelerator's weight plans
+    /// encode int8 words through a per-layer table of code steps over
+    /// `k`.
     #[inline]
-    fn weight_at(&self, k: u64) -> f32 {
+    pub fn weight_at(&self, k: u64) -> f32 {
         // Map to (0, 1]: exactly 1 only for the top `k`, whose
         // `k + 0.5` rounds up to 2⁵³ (its weight sits at the tail clamp).
         let u = (k as f64 + 0.5) / (1u64 << 53) as f64;
@@ -282,32 +299,42 @@ mod tests {
     /// than `scan_cap` weights are skipped (the reference evaluates a
     /// logarithm per weight).
     fn zoo_ranges_match_reference(seed: u64, scan_cap: u64) -> Result<(), String> {
-        let zoo = [
-            NetworkSpec::alexnet(),
-            NetworkSpec::vgg16(),
-            NetworkSpec::custom_mnist(),
-        ];
-        for spec in &zoo {
-            for li in 0..spec.layers().len() {
-                let gen = LayerWeightGen::new(spec, li, seed);
-                for limit in LIMITS {
-                    if gen.len().min(limit) > scan_cap {
-                        continue;
-                    }
-                    let (got, want) = (gen.range(limit), reference_range(&gen, limit));
-                    if got.min.to_bits() != want.min.to_bits()
-                        || got.max.to_bits() != want.max.to_bits()
-                        || got.sampled != want.sampled
-                    {
-                        return Err(format!(
-                            "{} layer {li} limit {limit}: {got:?} != reference {want:?}",
-                            spec.name()
-                        ));
-                    }
+        for (name, gen) in zoo_layers(seed) {
+            for limit in LIMITS {
+                if gen.len().min(limit) > scan_cap {
+                    continue;
+                }
+                let (got, want) = (gen.range(limit), reference_range(&gen, limit));
+                if got.min.to_bits() != want.min.to_bits()
+                    || got.max.to_bits() != want.max.to_bits()
+                    || got.sampled != want.sampled
+                {
+                    return Err(format!(
+                        "{name} limit {limit}: {got:?} != reference {want:?}"
+                    ));
                 }
             }
         }
         Ok(())
+    }
+
+    /// Every layer of AlexNet, VGG-16 and custom-MNIST.
+    fn zoo_layers(seed: u64) -> Vec<(String, LayerWeightGen)> {
+        [
+            NetworkSpec::alexnet(),
+            NetworkSpec::vgg16(),
+            NetworkSpec::custom_mnist(),
+        ]
+        .iter()
+        .flat_map(|spec| {
+            (0..spec.layers().len()).map(move |li| {
+                (
+                    format!("{} layer {li}", spec.name()),
+                    LayerWeightGen::new(spec, li, seed),
+                )
+            })
+        })
+        .collect()
     }
 
     proptest! {
@@ -343,7 +370,43 @@ mod tests {
         }
     }
 
-    /// Full-layer twin of the property above: every layer of the zoo
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The guarantee `weight_at` documents, checked directly on every
+        /// zoo layer: for `k₁ < k₂` drawn within 2²⁰ of 0, of 2⁵² (the
+        /// `u = 0.5` branch switch, straddled) and of 2⁵³,
+        /// `weight_at(k₁) <= weight_at(k₂)` — for the drawn gap and for
+        /// the adjacent uniform `k₁ + 1`.
+        #[test]
+        fn weight_at_is_monotone_near_zero_the_branch_and_the_top(
+            seed: u64,
+            a in 0u64..1 << 20,
+            b in 0u64..1 << 20,
+        ) {
+            let (lo, gap) = (a.min(b), a.abs_diff(b).max(1));
+            let top = 1u64 << 53;
+            let pairs = [
+                (lo, lo + gap),
+                ((1 << 52) - (1 << 19) + lo, (1 << 52) - (1 << 19) + lo + gap),
+                (top - (1 << 20) - 1 + lo, top - (1 << 20) - 1 + lo + gap),
+            ];
+            for (name, gen) in zoo_layers(seed) {
+                for (k1, k2) in pairs {
+                    prop_assert!(k1 < k2 && k2 < top);
+                    for k in [k2, k1 + 1] {
+                        prop_assert!(
+                            gen.weight_at(k1) <= gen.weight_at(k),
+                            "{}: weight_at({}) = {} > weight_at({}) = {}",
+                            name, k1, gen.weight_at(k1), k, gen.weight_at(k)
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Full-layer twin of `range_is_bit_identical_to_scalar_scan`: every layer of the zoo
     /// scanned in full (≈ 200M reference weights; release nightly).
     #[test]
     #[ignore]
