@@ -5,12 +5,15 @@
 //! per-policy duty cycles have closed forms:
 //!
 //! * **no mitigation** — duty is the mean of the cell's `K` block bits;
-//! * **periodic inversion** — the per-location write parity alternates
-//!   deterministically; the duty is an exact average over the
-//!   `lcm(2, K)` write cycle plus the partial remainder;
-//! * **barrel shifter** — the (data, shift) pair cycles with period
-//!   `lcm(K, W)`; full cycles reduce to per-residue bit sums and the
-//!   remainder is replayed directly — still exact;
+//! * **periodic inversion** — write `t = p·K + k` is inverted when `t`
+//!   is odd. With even `K` every inference stores the same `K` words;
+//!   with odd `K`, odd inferences store their complement. Either way
+//!   the duty is a fixed combination of one column count;
+//! * **barrel shifter** — write `p·K + k` stores block `k` rotated by
+//!   `(p·K + k) mod W`, which is block `k` pre-rotated by `k mod W` and
+//!   then rotated by `p·K mod W`. So one column count of the
+//!   pre-rotated blocks, summed at each inference's rotation, gives
+//!   the duty — still exact;
 //! * **DNN-Life** — conditioning on the deterministic bias-balancing
 //!   MSB schedule, the number of inverted writes among a cell's `T`
 //!   writes is a sum of independent Bernoulli draws, i.e. *two binomial
@@ -26,10 +29,12 @@
 //! validation tests against the event-driven simulator bound the
 //! effect.
 //!
-//! Work is `O(cells × K)` and embarrassingly parallel across words
-//! (block sources are random-access). `sample_stride` simulates every
-//! n-th word — an unbiased subsample of the cell population for
-//! histogram purposes.
+//! The deterministic policies need one carry-save column count per
+//! word (`O(words × K)` word operations) plus a per-cell read-out;
+//! DNN-Life's schedule sum is `O(cells × K)`. Work is embarrassingly
+//! parallel across words (block sources are random-access).
+//! `sample_stride` simulates every n-th word — an unbiased subsample
+//! of the cell population for histogram purposes.
 
 use crate::plan::BlockSource;
 use crate::rng::SplitMix64;
@@ -289,6 +294,11 @@ pub fn simulate_analytic_telemetry(
 }
 
 /// Simulates one contiguous range of sampled words.
+///
+/// Write `t = p·K + k` stores block `k` in inference `p`, and the run
+/// is exactly `inferences × K` writes, so each deterministic policy is
+/// integer arithmetic on one [`column_counts`] per word; the ones count
+/// is divided by the write count (or by `K`) like any exact duty.
 fn simulate_words(
     source: &dyn BlockSource,
     policy: &AnalyticPolicy,
@@ -299,27 +309,64 @@ fn simulate_words(
     out: &mut [f64],
 ) {
     let width = source.geometry().word_bits as usize;
-    let t_writes = cfg.inferences * k_blocks;
+    let mask = low_mask(width);
+    let inferences = cfg.inferences;
+    let t_writes = inferences * k_blocks;
+    let rotations = match policy {
+        AnalyticPolicy::BarrelShifter => rotation_counts(inferences, k_blocks, width),
+        _ => Vec::new(),
+    };
     let mut block_bits: Vec<u64> = vec![0; k_blocks as usize];
+    let mut counts = [0u64; 64];
+    let counts = &mut counts[..width];
 
     for (wi, &word) in words.iter().enumerate() {
-        for k in 0..k_blocks {
-            block_bits[k as usize] = source.word(k, word);
-        }
         let cell_base = word as u64 * width as u64;
         let out = &mut out[wi * width..(wi + 1) * width];
+        for (k, bits) in block_bits.iter_mut().enumerate() {
+            *bits = source.word(k as u64, word);
+        }
         match policy {
             AnalyticPolicy::Passthrough => {
-                for (j, slot) in out.iter_mut().enumerate() {
-                    let ones: u64 = block_bits.iter().map(|b| b >> j & 1).sum();
-                    *slot = ones as f64 / k_blocks as f64;
+                column_counts(&block_bits, counts);
+                for (slot, &c) in out.iter_mut().zip(counts.iter()) {
+                    *slot = c as f64 / k_blocks as f64;
                 }
             }
             AnalyticPolicy::PeriodicInversion => {
-                inversion_duties(&block_bits, t_writes, out);
+                // Odd writes are inverted. `a` counts the ones of the K
+                // writes of an even inference; with odd K every odd
+                // inference flips all K parities and stores `K − a`.
+                for bits in block_bits.iter_mut().skip(1).step_by(2) {
+                    *bits ^= mask;
+                }
+                column_counts(&block_bits, counts);
+                let (even, odd) = (inferences - inferences / 2, inferences / 2);
+                for (slot, &a) in out.iter_mut().zip(counts.iter()) {
+                    let ones = if k_blocks.is_multiple_of(2) {
+                        inferences * a
+                    } else {
+                        even * a + odd * (k_blocks - a)
+                    };
+                    *slot = ones as f64 / t_writes as f64;
+                }
             }
             AnalyticPolicy::BarrelShifter => {
-                barrel_duties(&block_bits, width, t_writes, out);
+                // Write p·K + k stores rotl(B_k, (p·K + k) mod W) =
+                // rotl(rotl(B_k, k mod W), p·K mod W): count the
+                // pre-rotated blocks once, then sum each inference's
+                // rotation r of those counts, m[r] times.
+                for (k, bits) in block_bits.iter_mut().enumerate() {
+                    *bits = rotl(*bits & mask, k % width, width);
+                }
+                column_counts(&block_bits, counts);
+                for (j, slot) in out.iter_mut().enumerate() {
+                    let ones: u64 = rotations
+                        .iter()
+                        .map(|&(r, m)| m * counts[if j >= r { j - r } else { j + width - r }])
+                        .sum();
+                    *slot = ones as f64 / t_writes as f64;
+                }
             }
             AnalyticPolicy::DnnLife {
                 bias,
@@ -328,7 +375,7 @@ fn simulate_words(
             } => {
                 dnn_life_duties(
                     &block_bits,
-                    cfg.inferences,
+                    inferences,
                     *bias,
                     bias_balancing.is_some().then_some(m1),
                     *seed,
@@ -340,66 +387,75 @@ fn simulate_words(
     }
 }
 
-/// Exact duty under alternating per-location inversion.
-fn inversion_duties(block_bits: &[u64], t_writes: u64, out: &mut [f64]) {
-    let k = block_bits.len() as u64;
-    let cycle = 2 * k; // write pattern repeats every 2K writes
-    let full_cycles = t_writes / cycle;
-    let rem = t_writes % cycle;
-    for (j, slot) in out.iter_mut().enumerate() {
-        // Ones per full 2K cycle.
-        let mut cycle_ones = 0u64;
-        for t in 0..cycle {
-            let bit = block_bits[(t % k) as usize] >> j & 1;
-            cycle_ones += bit ^ (t & 1);
+/// Per-bit-position ones counts of `words`: `counts[j]` is the number
+/// of words with bit `j` set, for `j < counts.len()` (at most 64).
+///
+/// A carry-save bit-sliced counter: plane `i` holds bit `i` of all 64
+/// column counts at once. Every four words fold into planes 0 and 1
+/// through three full adders (Harley–Seal), and only their weight-4
+/// carry ripples up the higher planes. The ripple always runs the
+/// `⌈log₂(len + 1)⌉` planes the total can reach, so no step branches
+/// on the data.
+fn column_counts(words: &[u64], counts: &mut [u64]) {
+    /// `a + b + c = sum + 2·carry` in each of the 64 columns.
+    fn full_add(a: u64, b: u64, c: u64) -> (u64, u64) {
+        let half = a ^ b;
+        (half ^ c, a & b | half & c)
+    }
+    fn ripple(planes: &mut [u64], mut carry: u64) {
+        for plane in planes {
+            let sum = *plane ^ carry;
+            carry &= *plane;
+            *plane = sum;
         }
-        let mut ones = full_cycles * cycle_ones;
-        for t in 0..rem {
-            let bit = block_bits[(t % k) as usize] >> j & 1;
-            ones += bit ^ (t & 1);
-        }
-        *slot = ones as f64 / t_writes as f64;
+    }
+    let depth = (u64::BITS - (words.len() as u64).leading_zeros()) as usize;
+    let mut planes = [0u64; 64];
+    let mut quads = words.chunks_exact(4);
+    for quad in &mut quads {
+        let (ones, twos_a) = full_add(planes[0], quad[0], quad[1]);
+        let (ones, twos_b) = full_add(ones, quad[2], quad[3]);
+        let (twos, fours) = full_add(planes[1], twos_a, twos_b);
+        planes[0] = ones;
+        planes[1] = twos;
+        ripple(&mut planes[2..depth], fours);
+    }
+    for &word in quads.remainder() {
+        ripple(&mut planes[..depth], word);
+    }
+    for (j, count) in counts.iter_mut().enumerate() {
+        *count = planes[..depth]
+            .iter()
+            .enumerate()
+            .map(|(i, plane)| (plane >> j & 1) << i)
+            .sum();
     }
 }
 
-/// Exact duty under the per-location rotation schedule.
-fn barrel_duties(block_bits: &[u64], width: usize, t_writes: u64, out: &mut [f64]) {
-    let k = block_bits.len() as u64;
+/// The `(r, m[r])` pairs with `m[r] > 0`, where `m[r]` counts the
+/// inferences `p < inferences` whose first write `p·K` sits at rotation
+/// `r = p·K mod W`. Inferences `p` and `p + W` share a rotation, so
+/// only the first `min(inferences, W)` are visited.
+fn rotation_counts(inferences: u64, k_blocks: u64, width: usize) -> Vec<(usize, u64)> {
     let w = width as u64;
-    let g = gcd(k, w);
-    let cycle = k / g * w; // lcm(K, W)
-    let full_cycles = t_writes / cycle;
-    let rem = t_writes % cycle;
+    let mut m = vec![0u64; width];
+    for p in 0..inferences.min(w) {
+        m[(p * (k_blocks % w) % w) as usize] += (inferences - 1 - p) / w + 1;
+    }
+    m.into_iter().enumerate().filter(|&(_, n)| n > 0).collect()
+}
 
-    // Per-residue bit sums: u[k][c] = Σ_{p ≡ c (mod g)} bit_k[p].
-    // Over one lcm cycle each (k, s ≡ k mod g) pair occurs once, and
-    // stored bit j of rot_left(word_k, s) is word_k[(j − s) mod W], so
-    // the cycle sum at position j is Σ_k u[k][(j − k) mod g].
-    let mut ones = vec![0u64; width];
-    if full_cycles > 0 {
-        let mut u = vec![0u64; g as usize];
-        for (ki, bits) in block_bits.iter().enumerate() {
-            u.iter_mut().for_each(|v| *v = 0);
-            for p in 0..w {
-                u[(p % g) as usize] += bits >> p & 1;
-            }
-            for (j, slot) in ones.iter_mut().enumerate() {
-                let c = (j as u64 + w - (ki as u64 % w)) % w % g;
-                *slot += full_cycles * u[c as usize];
-            }
-        }
-    }
-    // Remainder writes replayed directly.
-    for t in 0..rem {
-        let bits = block_bits[(t % k) as usize];
-        let s = t % w;
-        for (j, slot) in ones.iter_mut().enumerate() {
-            let p = (j as u64 + w - s) % w;
-            *slot += bits >> p & 1;
-        }
-    }
-    for (j, slot) in out.iter_mut().enumerate() {
-        *slot = ones[j] as f64 / t_writes as f64;
+/// The low `width` bits set (`1 ≤ width ≤ 64`; no `1 << 64`).
+fn low_mask(width: usize) -> u64 {
+    u64::MAX >> (64 - width)
+}
+
+/// `x < 2^width` rotated left by `s < width` within a `width`-bit word.
+fn rotl(x: u64, s: usize, width: usize) -> u64 {
+    if s == 0 {
+        x
+    } else {
+        (x << s | x >> (width - s)) & low_mask(width)
     }
 }
 
@@ -432,98 +488,9 @@ fn dnn_life_duties(
     }
 }
 
-fn gcd(a: u64, b: u64) -> u64 {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gcd_basics() {
-        assert_eq!(gcd(12, 8), 4);
-        assert_eq!(gcd(7, 8), 1);
-        assert_eq!(gcd(8, 8), 8);
-        assert_eq!(gcd(5, 0), 5);
-    }
-
-    #[test]
-    fn inversion_balances_odd_k() {
-        // K = 3 identical all-ones blocks, T = 6 writes: parities cancel.
-        let bits = vec![0xFFu64; 3];
-        let mut out = vec![0.0; 8];
-        inversion_duties(&bits, 6, &mut out);
-        for d in out {
-            assert!((d - 0.5).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn inversion_stuck_for_even_k() {
-        // K = 2 all-ones blocks: write parity is locked to block parity,
-        // so bits alternate 1,0,1,0 → exactly 0.5 here; but with both
-        // blocks at parity-matched values the duty stays data-dependent:
-        // blocks [0xFF, 0x00] produce stored 0xFF (t even, no invert) and
-        // 0xFF (t odd, invert 0x00) → duty 1.0.
-        let bits = vec![0xFF, 0x00];
-        let mut out = vec![0.0; 8];
-        inversion_duties(&bits, 100, &mut out);
-        for d in out {
-            assert!((d - 1.0).abs() < 1e-12, "duty {d}");
-        }
-    }
-
-    #[test]
-    fn barrel_spreads_bits_across_positions() {
-        // Single block 0b00000001, W = 8: each position holds the 1 for
-        // exactly 1/8 of the writes.
-        let bits = vec![0b1u64];
-        let mut out = vec![0.0; 8];
-        barrel_duties(&bits, 8, 800, &mut out);
-        for d in out {
-            assert!((d - 0.125).abs() < 1e-12, "duty {d}");
-        }
-    }
-
-    #[test]
-    fn barrel_cannot_fix_global_imbalance() {
-        // 0b00001111: mean 0.5 per position after rotation — but
-        // 0b01111111 stays at 7/8 everywhere.
-        let bits = vec![0b0111_1111u64];
-        let mut out = vec![0.0; 8];
-        barrel_duties(&bits, 8, 800, &mut out);
-        for d in out {
-            assert!((d - 0.875).abs() < 1e-12, "duty {d}");
-        }
-    }
-
-    #[test]
-    fn barrel_remainder_exactness() {
-        // T not a multiple of lcm(K, W): compare against brute force.
-        let bits = vec![0b1010_0110u64, 0b0000_1111, 0b1110_0001];
-        let (k, w, t) = (3u64, 8u64, 50u64);
-        let mut out = vec![0.0; 8];
-        barrel_duties(&bits, 8, t, &mut out);
-        for j in 0..8u64 {
-            let mut ones = 0u64;
-            for tt in 0..t {
-                let s = tt % w;
-                let p = (j + w - s) % w;
-                ones += bits[(tt % k) as usize] >> p & 1;
-            }
-            let expect = ones as f64 / t as f64;
-            assert!(
-                (out[j as usize] - expect).abs() < 1e-12,
-                "bit {j}: {} vs {expect}",
-                out[j as usize]
-            );
-        }
-    }
 
     #[test]
     fn dnn_life_unbiased_concentrates_at_half() {

@@ -102,33 +102,33 @@ proptest! {
         }
     }
 
-    /// Deterministic policies: analytic equals event-driven exactly, for
-    /// random seeds and inference counts (beyond the fixed cases in
-    /// validation.rs).
+    /// Deterministic policies: analytic equals event-driven bit for
+    /// bit, for random seeds, inference counts, word widths and memory
+    /// sizes (beyond the fixed cases in validation.rs). Both are an
+    /// integer ones count over the same write count.
     #[test]
     fn analytic_matches_exact_random_configs(
         seed in 0u64..50,
-        inferences in 1u64..6,
+        inferences in 1u64..40,
         policy_pick in 0usize..3,
+        fp32 in any::<bool>(),
+        bytes in 512u64..=2560,
     ) {
         let mut cfg = AcceleratorConfig::baseline();
-        cfg.weight_memory_bytes = 512;
-        let mem = FlatWeightMemory::new(
-            &cfg,
-            &NetworkSpec::custom_mnist(),
-            NumberFormat::Int8Symmetric,
-            seed,
-        );
-        let words = mem.geometry().words;
+        cfg.weight_memory_bytes = bytes;
+        let format = if fp32 { NumberFormat::Fp32 } else { NumberFormat::Int8Symmetric };
+        let mem = FlatWeightMemory::new(&cfg, &NetworkSpec::custom_mnist(), format, seed);
+        let geometry = mem.geometry();
+        let (width, words) = (geometry.word_bits, geometry.words);
         let (mut transducer, policy): (Box<dyn WriteTransducer>, AnalyticPolicy) =
             match policy_pick {
-                0 => (Box::new(Passthrough::new(8)), AnalyticPolicy::Passthrough),
+                0 => (Box::new(Passthrough::new(width)), AnalyticPolicy::Passthrough),
                 1 => (
-                    Box::new(PeriodicInversion::new(8, words)),
+                    Box::new(PeriodicInversion::new(width, words)),
                     AnalyticPolicy::PeriodicInversion,
                 ),
                 _ => (
-                    Box::new(BarrelShifter::new(8, words)),
+                    Box::new(BarrelShifter::new(width, words)),
                     AnalyticPolicy::BarrelShifter,
                 ),
             };
@@ -140,7 +140,7 @@ proptest! {
         );
         prop_assert_eq!(exact.len(), analytic.len());
         for (i, (e, a)) in exact.iter().zip(&analytic).enumerate() {
-            prop_assert!((e - a).abs() < 1e-12, "cell {}: {} vs {}", i, e, a);
+            prop_assert_eq!(e.to_bits(), a.to_bits(), "cell {}: {} vs {}", i, e, a);
         }
     }
 

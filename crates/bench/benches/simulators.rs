@@ -94,6 +94,24 @@ fn bench_simulators(c: &mut Criterion) {
             ))
         });
     });
+    group.bench_function("analytic_inversion_stride512", |b| {
+        b.iter(|| {
+            black_box(simulate_analytic(
+                &full,
+                &AnalyticPolicy::PeriodicInversion,
+                &strided,
+            ))
+        });
+    });
+    group.bench_function("analytic_barrel_stride512", |b| {
+        b.iter(|| {
+            black_box(simulate_analytic(
+                &full,
+                &AnalyticPolicy::BarrelShifter,
+                &strided,
+            ))
+        });
+    });
     group.bench_function("analytic_dnnlife_stride512", |b| {
         let policy = AnalyticPolicy::DnnLife {
             bias: 0.7,
